@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as _lse
 
 from .core import (
     ConvergenceError,
@@ -25,12 +24,14 @@ from .core import (
     TransportPlan,
     as_matrix,
     as_weights,
+    lse,
     marginal_violation,
     reg_primal_objective,
     smooth_marginals,
     transport_cost,
 )
 from .rounding import round_to_polytope
+from .sinkhorn import ScalingKernel
 
 TRACE_COLUMNS = (
     "iteration",
@@ -118,7 +119,7 @@ def dual_objective_lip(pot, C, gamma: float, p, q) -> float:
     if not (gamma > 0):
         raise ParameterError("gamma must be positive")
     logB = u[:, None] + v[None, :] - as_matrix(C) / gamma
-    total = float(_lse(logB.ravel()))
+    total = float(lse(logB.ravel()))
     return gamma * (total - float(u @ as_weights(p)) - float(v @ as_weights(q)))
 
 
@@ -132,9 +133,9 @@ def dual_partial_gradients(pot, C, gamma: float, p, q) -> tuple[np.ndarray, np.n
     """
     u, v = _unpack(pot)
     logB = u[:, None] + v[None, :] - as_matrix(C) / gamma
-    log_rows = _lse(logB, axis=1)
-    log_cols = _lse(logB, axis=0)
-    total = _lse(log_rows)
+    log_rows = lse(logB, axis=1)
+    log_cols = lse(logB, axis=0)
+    total = lse(log_rows)
     row_m = np.exp(log_rows - total)
     col_m = np.exp(log_cols - total)
     return gamma * (row_m - as_weights(p)), gamma * (col_m - as_weights(q))
@@ -143,7 +144,7 @@ def dual_partial_gradients(pot, C, gamma: float, p, q) -> tuple[np.ndarray, np.n
 def normalized_coupling(u, v, C, gamma: float) -> np.ndarray:
     """Unit-mass coupling B(u, v) / (1' B(u, v) 1), computed stably."""
     logB = np.asarray(u, float)[:, None] + np.asarray(v, float)[None, :] - as_matrix(C) / gamma
-    return np.exp(logB - _lse(logB.ravel()))
+    return np.exp(logB - lse(logB.ravel()))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -219,7 +220,6 @@ def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = 
     C = as_matrix(C)
     p = as_weights(p)
     q = as_weights(q)
-    n = p.size
 
     def phi(x: np.ndarray) -> float:
         return dual_objective_lip(_split(x), C, gamma, p, q)
@@ -253,12 +253,10 @@ def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = 
     if not math.isfinite(phi_mu):
         raise NumericalError(f"dual value not finite at mu (iteration {state.iteration})")
 
-    logB = mu_u[:, None] + mu_v[None, :] - C / gamma
-    eta_new = mu.copy()
-    if float(gu @ gu) >= float(gv @ gv):
-        eta_new[:n] = mu_u + np.log(p) - _lse(logB, axis=1)
-    else:
-        eta_new[n:] = mu_v + np.log(q) - _lse(logB, axis=0)
+    rows = float(gu @ gu) >= float(gv @ gv)
+    kernel = ScalingKernel.start(-C / gamma, mu_u[None], mu_v[None])
+    kernel = kernel.half_step(rows, (p if rows else q)[None])
+    eta_new = np.concatenate(kernel.potentials(), axis=1)[0]
     phi_eta_new = phi(eta_new)
 
     A = state.A_big

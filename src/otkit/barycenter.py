@@ -10,10 +10,9 @@ used by the decentralized solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp as _lse
 
 from .core import (
     ConvergenceError,
@@ -25,11 +24,13 @@ from .core import (
     TransportPlan,
     as_matrix,
     as_weights,
+    lse,
     neg_entropy,
     smooth_measure,
     transport_cost,
 )
 from .rounding import round_to_polytope
+from .sinkhorn import ScalingKernel, _require_positive, default_max_iter
 
 IBP_TRACE_COLUMNS = ("sweep", "iteration", "dual_value", "marginal_spread")
 AIBP_TRACE_COLUMNS = (
@@ -85,11 +86,16 @@ class BarycenterProblem:
 
 @dataclass(frozen=True)
 class WbDualState:
-    """Stacked dual iterate (u_l, v_l), with sum_l v_l = 0 after v-updates."""
+    """Stacked dual iterate (u_l, v_l), with sum_l v_l = 0 after v-updates.
+
+    ``kernel`` is the scaling kernel the potentials came from; ``ibp_step``
+    starts one at (u, v) when it is None.
+    """
 
     u: np.ndarray  # (m, n)
     v: np.ndarray  # (m, n)
     iteration: int = 0
+    kernel: ScalingKernel | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def initial(cls, m: int, n: int) -> "WbDualState":
@@ -101,45 +107,33 @@ def _log_couplings(u: np.ndarray, v: np.ndarray, logK: np.ndarray) -> np.ndarray
     return u[:, :, None] + v[:, None, :] + logK[None, :, :]
 
 
-def _require_positive_stack(p: np.ndarray) -> np.ndarray:
-    if np.any(p <= 0):
-        raise DomainError("measures must be strictly positive")
-    return p
-
-
 def ibp_step(state: WbDualState, problem: BarycenterProblem) -> WbDualState:
     """One exact half-step of alternating minimization of the stacked dual.
 
     Even iterations update the column potentials (each column marginal
     becomes the geometric mean of the current ones, preserving
     sum_l v_l = 0); odd iterations update the row potentials (each row
-    marginal becomes p_l).  All reductions run in the log domain.
+    marginal becomes p_l).  Both are half-steps of the stacked scaling
+    kernel, which the returned state carries to the next call.
     """
-    logK = problem.log_kernel
-    p = _require_positive_stack(problem.measure_stack())
-    u, v = state.u, state.v
+    p = _require_positive(problem.measure_stack())
+    kernel = state.kernel
+    if kernel is None:
+        kernel = ScalingKernel.start(problem.log_kernel, state.u, state.v)
     if state.iteration % 2 == 0:
-        s = _lse(logK[None, :, :] + u[:, :, None], axis=1)  # (m, n): ln K' e^{u_l}
-        v = s.mean(axis=0)[None, :] - s
-        u = u.copy()
+        kernel = kernel.half_step(rows=False)
     else:
-        r = _lse(logK[None, :, :] + v[:, None, :], axis=2)  # (m, n): ln K e^{v_l}
-        u = np.log(p) - r
-        v = v.copy()
-    return WbDualState(u, v, state.iteration + 1)
+        kernel = kernel.half_step(rows=True, target=p)
+    u, v = kernel.potentials()
+    return WbDualState(u, v, state.iteration + 1, kernel)
 
 
 def ibp_dual_value(state: WbDualState, problem: BarycenterProblem) -> float:
     """Dual value (1/m) sum_l ( 1' B(u_l, v_l) 1 - <u_l, p_l> )."""
     logB = _log_couplings(state.u, state.v, problem.log_kernel)
-    masses = np.exp(_lse(logB.reshape(problem.m, -1), axis=1))
+    masses = np.exp(lse(logB.reshape(problem.m, -1), axis=1))
     inner = (state.u * problem.measure_stack()).sum(axis=1)
     return float((masses - inner).mean())
-
-
-def _column_marginals(state: WbDualState, problem: BarycenterProblem) -> np.ndarray:
-    logB = _log_couplings(state.u, state.v, problem.log_kernel)
-    return np.exp(_lse(logB, axis=1))  # (m, n)
 
 
 @dataclass
@@ -171,10 +165,9 @@ def ibp_solve(
     """
     if not (eps_prime > 0):
         raise ParameterError("eps_prime must be positive")
-    p = _require_positive_stack(problem.measure_stack())
+    p = _require_positive(problem.measure_stack())
     if max_sweeps is None:
-        R = problem.cost.inf_norm / problem.gamma - math.log(float(p.min()))
-        max_sweeps = int(math.ceil(2.0 + 8.0 * R / eps_prime))
+        max_sweeps = default_max_iter(problem.cost, problem.gamma, p.ravel(), p.ravel(), eps_prime)
 
     state = WbDualState.initial(problem.m, problem.n)
     for sweep in range(1, max_sweeps + 1):
@@ -185,7 +178,7 @@ def ibp_solve(
         if checks is not None:
             checks.append(_ibp_check_row(state, problem, kind="u"))
 
-        q_l = _column_marginals(state, problem)
+        q_l = state.kernel.b * state.kernel.sums(rows=False)
         q_bar = q_l.mean(axis=0)
         spread = float(np.abs(q_l - q_bar).sum(axis=1).mean())
         if trace is not None:
@@ -198,9 +191,7 @@ def ibp_solve(
                 }
             )
         if spread <= eps_prime:
-            logB = _log_couplings(state.u, state.v, problem.log_kernel)
-            plans = [np.exp(logB[l]) for l in range(problem.m)]
-            return IbpSolution(state, plans, q_bar)
+            return IbpSolution(state, list(state.kernel.plans()), q_bar)
 
     raise ConvergenceError(
         f"IBP did not reach marginal spread {eps_prime:g} in {max_sweeps} sweeps",
@@ -212,12 +203,12 @@ def _ibp_check_row(state: WbDualState, problem: BarycenterProblem, kind: str) ->
     logB = _log_couplings(state.u, state.v, problem.log_kernel)
     row = {"iteration": state.iteration, "kind": kind}
     if kind == "u":
-        rows = np.exp(_lse(logB, axis=2))
+        rows = np.exp(lse(logB, axis=2))
         row["row_marginal_err"] = float(
             np.abs(rows - problem.measure_stack()).sum(axis=1).max()
         )
     else:
-        cols = np.exp(_lse(logB, axis=1))
+        cols = np.exp(lse(logB, axis=1))
         log_geo = np.log(cols).mean(axis=0)
         row["col_coincide_err"] = float(np.abs(cols - np.exp(log_geo)).max())
         row["v_sum_err"] = float(np.abs(state.v.sum(axis=0)).max())
@@ -232,7 +223,7 @@ def barycenter_ibp(
 
     Schedule: gamma = eps / (4 ln n) and eps' = eps / (4 ||C||_inf).  The
     input measures are separated from zero with the mixing transform
-    before solving (the log-domain updates need strict positivity), the
+    before solving (the scaling updates need strict positivity), the
     returned common marginal is the mass-normalized average of the
     couplings' column marginals, and each coupling is rounded onto
     U(p_l, q_bar) with the original p_l.
@@ -298,7 +289,7 @@ def wb_dual_objective(state, problem: BarycenterProblem) -> float:
     """Smooth barycenter dual (gamma/m) sum_l ( ln 1' B_l 1 - <u_l, p_l> )."""
     u, v = _unpack_state(state)
     logB = _log_couplings(u, v, problem.log_kernel)
-    totals = _lse(logB.reshape(problem.m, -1), axis=1)
+    totals = lse(logB.reshape(problem.m, -1), axis=1)
     inner = (u * problem.measure_stack()).sum(axis=1)
     return float(problem.gamma / problem.m * (totals - inner).sum())
 
@@ -313,9 +304,9 @@ def wb_dual_gradients(state, problem: BarycenterProblem) -> tuple[np.ndarray, np
     """
     u, v = _unpack_state(state)
     logB = _log_couplings(u, v, problem.log_kernel)
-    log_rows = _lse(logB, axis=2)
-    log_cols = _lse(logB, axis=1)
-    totals = _lse(log_rows, axis=1)
+    log_rows = lse(logB, axis=2)
+    log_cols = lse(logB, axis=1)
+    totals = lse(log_rows, axis=1)
     row_m = np.exp(log_rows - totals[:, None])
     col_m = np.exp(log_cols - totals[:, None])
     scale = problem.gamma / problem.m
@@ -330,7 +321,7 @@ def _project_zero_sum(g: np.ndarray) -> np.ndarray:
 def _normalized_couplings(u, v, logK) -> np.ndarray:
     logB = _log_couplings(u, v, logK)
     m = logB.shape[0]
-    totals = _lse(logB.reshape(m, -1), axis=1)
+    totals = lse(logB.reshape(m, -1), axis=1)
     return np.exp(logB - totals[:, None, None])
 
 
@@ -389,35 +380,12 @@ def _wb_aam_iterate(
     gsq = gu_sq + gv_sq
     phi_mu = phi(mu_u, mu_v)
 
-    eta_u_new, eta_v_new = mu_u.copy(), mu_v.copy()
-    if gu_sq >= gv_sq:
-        r = _lse(logK[None, :, :] + mu_v[:, None, :], axis=2)
-        eta_u_new = np.log(p) - r
-        if checks is not None:
-            logB = _log_couplings(eta_u_new, eta_v_new, logK)
-            rows = np.exp(_lse(logB, axis=2))
-            checks.append(
-                {
-                    "iteration": st.iteration + 1,
-                    "kind": "u",
-                    "row_marginal_err": float(np.abs(rows - p).sum(axis=1).max()),
-                }
-            )
-    else:
-        s = _lse(logK[None, :, :] + mu_u[:, :, None], axis=1)
-        eta_v_new = s.mean(axis=0)[None, :] - s
-        if checks is not None:
-            logB = _log_couplings(eta_u_new, eta_v_new, logK)
-            cols = np.exp(_lse(logB, axis=1))
-            log_geo = np.log(cols).mean(axis=0)
-            checks.append(
-                {
-                    "iteration": st.iteration + 1,
-                    "kind": "v",
-                    "col_coincide_err": float(np.abs(cols - np.exp(log_geo)).max()),
-                    "v_sum_err": float(np.abs(eta_v_new.sum(axis=0)).max()),
-                }
-            )
+    rows = gu_sq >= gv_sq
+    kernel = ScalingKernel.start(logK, mu_u, mu_v)
+    eta_u_new, eta_v_new = kernel.half_step(rows, p if rows else None).potentials()
+    if checks is not None:
+        new_state = WbDualState(eta_u_new, eta_v_new, st.iteration + 1)
+        checks.append(_ibp_check_row(new_state, problem, kind="u" if rows else "v"))
     phi_eta_new = phi(eta_u_new, eta_v_new)
 
     A = st.A_big
@@ -448,9 +416,9 @@ def accelerated_ibp(
     Schedule: gamma = eps / (2 ln n), eps' = eps / (8 ||C||_inf), measures
     smoothed by (1 - eps'/4)(p_l + eps'/(4n) 1) and renormalized.  Each
     outer check averages the normalized couplings' column marginals into
-    q_bar, rounds every coupling onto U(p_check_l, q_bar), and stops once
-    the averaged rounding cost gap and the duality gap both fall below
-    eps / 4.
+    q_bar, rounds every coupling onto U(p_l, q_bar) with the original p_l,
+    and stops once the averaged rounding cost gap and the duality gap both
+    fall below eps / 4.
     """
     C = C if isinstance(C, CostMatrix) else CostMatrix(as_matrix(C))
     ms = [m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float)) for m in measures]
@@ -473,7 +441,6 @@ def accelerated_ibp(
     smoothed = [smooth_measure(m.weights, eps_prime / 4.0) for m in ms]
     problem = BarycenterProblem(tuple(smoothed), C, used_gamma)
     m = problem.m
-    p_stack = problem.measure_stack()
 
     st = _WbAamState(
         eta_u=np.zeros((m, n)),
@@ -487,7 +454,7 @@ def accelerated_ibp(
         st = _wb_aam_iterate(st, problem, checks=checks)
         q_bar = st.plans_avg.sum(axis=1).mean(axis=0)
         rounded = [
-            round_to_polytope(st.plans_avg[l], p_stack[l], q_bar) for l in range(m)
+            round_to_polytope(st.plans_avg[l], ms[l].weights, q_bar) for l in range(m)
         ]
         cost_gap = float(
             np.mean(
@@ -559,7 +526,7 @@ def fenchel_dual_ot(u, p, C, gamma: float) -> float:
     if np.any(p <= 0):
         raise DomainError("measure must be strictly positive")
     Z = (u[None, :] - C) / gamma  # row j: (u_i - C_ji) / gamma over i
-    lse_rows = _lse(Z, axis=1)
+    lse_rows = lse(Z, axis=1)
     return float(gamma * (p @ lse_rows) - gamma * (p @ np.log(p)))
 
 
@@ -575,5 +542,5 @@ def fenchel_dual_gradient(u, p, C, gamma: float) -> np.ndarray:
     p = as_weights(p)
     C = as_matrix(C)
     Z = (u[None, :] - C) / gamma
-    soft = np.exp(Z - _lse(Z, axis=1)[:, None])  # row j: softmax over i
+    soft = np.exp(Z - lse(Z, axis=1)[:, None])  # row j: softmax over i
     return soft.T @ p

@@ -128,7 +128,6 @@ def _cmd_sinkhorn(manifest: RunManifest) -> SolveReport:
         eps_prime=manifest.params["tol"],
         max_iter=manifest.params.get("max_iter"),
         trace=trace,
-        scaling_form=manifest.params.get("scaling_form", False),
     )
     io.save_matrix(Path(manifest.output_dir) / "plan.csv", plan.entries)
     return SolveReport(
@@ -309,8 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, required=True)
     s.add_argument("--tol", type=float, required=True, help="target l1 marginal violation")
     s.add_argument("--max-iter", type=int, default=None)
-    s.add_argument("--scaling-form", action="store_true",
-                   help="multiplicative matrix-scaling fast path (large gamma only)")
 
     s = sub.add_parser("approx", parents=[common], help="eps-approximate transport cost")
     s.add_argument("--cost", required=True)
@@ -380,7 +377,7 @@ def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
     for name in ("cost", "source", "target", "plan", "measures", "graph"):
         take(name, as_input=True)
     for name in (
-        "gamma", "tol", "eps", "max_iter", "scaling_form", "method",
+        "gamma", "tol", "eps", "max_iter", "method",
         "rounds", "stochastic", "batch", "step_L", "problem",
         "gap_tol", "allow_asymmetric",
     ):

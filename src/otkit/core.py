@@ -2,7 +2,7 @@
 
 Discrete measures, cost matrices, transport plans and dual potentials,
 plus the scaling kernel B(u, v), entropy/KL functionals, the l1
-marginal-violation metric, a guarded log-sum-exp, and the
+marginal-violation metric, a max-subtracting log-sum-exp, and the
 marginal-smoothing transform used by the approximation pipelines.
 
 All values are immutable after construction and safe to share across
@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp as _lse
-from scipy.special import xlogy
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +278,21 @@ def as_matrix(a) -> np.ndarray:
 # Operations
 # ---------------------------------------------------------------------------
 
+def lse(x, axis=None):
+    """Log of the sum of exponentials of ``x`` along ``axis`` (all entries
+    by default), computed by subtracting the maximum.
+
+    An all ``-inf`` slice reduces to ``-inf``, not NaN: its maximum is
+    replaced by 0 before the subtraction.
+    """
+    x = np.asarray(x, dtype=float)
+    top = np.max(x, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
+    return np.squeeze(out, axis=axis)[()]
+
+
 def logsumexp(values, weights=None) -> float:
     """Stable log of a (weighted) sum of exponentials of a vector.
 
@@ -293,13 +306,13 @@ def logsumexp(values, weights=None) -> float:
     if not np.all(np.isfinite(x)):
         raise DomainError("logsumexp requires finite values")
     if weights is None:
-        return float(_lse(x))
+        return float(lse(x))
     w = np.asarray(weights, dtype=float)
     if w.shape != x.shape:
         raise DomainError("values and weights must have the same length")
     if np.any(w <= 0):
         raise DomainError("logsumexp weights must be strictly positive")
-    return float(_lse(x, b=w))
+    return float(lse(x + np.log(w)))
 
 
 def log_scaling_matrix(u, v, C, gamma: float) -> np.ndarray:
@@ -325,12 +338,17 @@ def scaling_matrix(pot, C, gamma: float, v=None) -> np.ndarray:
     return np.exp(log_scaling_matrix(u, v, C, gamma))
 
 
+def _xlogy(x, y) -> np.ndarray:
+    """x ln y entrywise, with 0 wherever x == 0 (so 0 ln 0 = 0)."""
+    return x * np.log(np.where(x > 0, y, 1.0))
+
+
 def neg_entropy(plan) -> float:
     """Negative entropy sum_ij pi_ij ln pi_ij, with the 0 ln 0 = 0 convention."""
     pi = as_matrix(plan)
     if np.any(pi < 0):
         raise DomainError("negative entry in plan")
-    return float(xlogy(pi, pi).sum())
+    return float(_xlogy(pi, pi).sum())
 
 
 def kl_divergence(a, b) -> float:
@@ -343,7 +361,7 @@ def kl_divergence(a, b) -> float:
         raise DomainError("KL arguments must be nonnegative")
     if np.any((b == 0) & (a > 0)):
         raise DomainError("KL undefined: reference has a zero where plan is positive")
-    return float((xlogy(a, a) - xlogy(a, b)).sum() - a.sum() + b.sum())
+    return float((_xlogy(a, a) - _xlogy(a, b)).sum() - a.sum() + b.sum())
 
 
 def marginal_violation(plan, p, q) -> float:

@@ -110,17 +110,17 @@ def load_edges(path) -> list[tuple[int, int]]:
 
 
 def save_matrix(path, m) -> None:
-    m = np.asarray(m, dtype=float)
+    """Write a matrix as CSV, 17 significant digits, one format per row."""
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    row = ",".join(["%.17g"] * m.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+        fh.writelines(row % tuple(values) for values in m.tolist())
 
 
 def save_vector(path, v) -> None:
     v = np.asarray(v, dtype=float)
     with open(path, "w") as fh:
-        for x in v:
-            fh.write(format(x, ".17g") + "\n")
+        fh.write(("%.17g\n" * v.size) % tuple(v.tolist()))
 
 
 def write_trace_csv(path, columns, rows) -> None:

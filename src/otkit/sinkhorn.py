@@ -1,23 +1,27 @@
-"""Log-domain Sinkhorn solver for the entropic transport dual.
+"""Sinkhorn solver for the entropic transport dual.
 
-Alternating exact block minimization of the dual, its KL-projection
-reformulation, a computable suboptimality certificate, and the
-end-to-end epsilon-approximation pipeline (smooth marginals, solve to
-half the marginal tolerance, round onto the polytope).
+One absorption-stabilized matrix-scaling kernel (Schmitzer, "Stabilized
+sparse scaling algorithms for entropy regularized transport problems",
+SIAM J. Sci. Comput. 2019) carries every half-step: alternating exact
+block minimization of the dual, its KL-projection reformulation, and the
+stacked m-measure updates of iterative Bregman projections.  Around it
+sit a computable suboptimality certificate and the end-to-end
+epsilon-approximation pipeline (smooth marginals, solve to half the
+marginal tolerance, round onto the polytope).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp as _lse
 
 from .core import (
     ConvergenceError,
     DomainError,
     DualPotentials,
+    NumericalError,
     ParameterError,
     RegularizationParams,
     SolveReport,
@@ -25,6 +29,7 @@ from .core import (
     as_matrix,
     as_weights,
     log_scaling_matrix,
+    lse,
     marginal_violation,
     smooth_marginals,
     transport_cost,
@@ -33,14 +38,104 @@ from .rounding import round_to_polytope
 
 TRACE_COLUMNS = ("iteration", "violation", "dual_objective", "certificate")
 
+#: A half-step whose new scalings leave [1/SCALING_BOUND, SCALING_BOUND] is
+#: redone in the log domain.  Within the bound, a kernel entry that
+#: underflows (< 2.3e-308) adds under SCALING_BOUND**2 * 2.3e-308 ~ 2e-248
+#: to a coupling entry, far below what a marginal can resolve.
+SCALING_BOUND = 1e30
+
+
+@dataclass(frozen=True)
+class ScalingKernel:
+    """Absorption-stabilized diagonal scaling of m couplings on one support.
+
+    Coupling l is diag(a_l) K_l diag(b_l) with K_l = exp(u_l + v_l' + L),
+    where L = -C / gamma and (u_l, v_l) are the absorbed log potentials;
+    the dual potentials are (u_l + ln a_l, v_l + ln b_l).  Until something
+    is absorbed the couplings share K = exp(L), and a half-step is one
+    matrix product with the stacked scalings.  A half-step that would
+    leave the scaling bound, or divide by an underflowed sum, instead
+    absorbs the scalings, redoes the update from the log domain and
+    rebuilds K.  Half-steps return a new kernel; arrays are never
+    modified in place.
+    """
+
+    log_kernel: np.ndarray  # (n, n)
+    u: np.ndarray  # (m, n)
+    v: np.ndarray  # (m, n)
+    a: np.ndarray  # (m, n)
+    b: np.ndarray  # (m, n)
+    K: np.ndarray  # (1, n, n) while shared, else (m, n, n)
+    absorptions: int = 0
+
+    @classmethod
+    def start(cls, log_kernel, u, v, absorptions: int = 0) -> "ScalingKernel":
+        """Kernel at log potentials (u, v), each (m, n), with unit scalings."""
+        if u.any() or v.any():
+            K = np.exp(u[:, :, None] + v[:, None, :] + log_kernel)
+        else:
+            K = np.exp(log_kernel)[None]
+        return cls(log_kernel, u, v, np.ones(u.shape), np.ones(v.shape), K, absorptions)
+
+    def potentials(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.u + np.log(self.a), self.v + np.log(self.b)
+
+    def sums(self, rows: bool) -> np.ndarray:
+        """K_l b_l (rows) or K_l' a_l (columns) for every l, as (m, n)."""
+        K = self.K
+        if K.shape[0] == 1:
+            return self.b @ K[0].T if rows else self.a @ K[0]
+        if rows:
+            return np.matmul(K, self.b[:, :, None])[:, :, 0]
+        return np.matmul(self.a[:, None, :], K)[:, 0, :]
+
+    def plans(self) -> np.ndarray:
+        """The couplings, as (m, n, n)."""
+        return self.a[:, :, None] * self.K * self.b[:, None, :]
+
+    def half_step(self, rows: bool, target=None) -> "ScalingKernel":
+        """Rescale rows (or columns) so that coupling l has marginal target[l].
+
+        ``target`` None imposes on every coupling the geometric mean over l
+        of the unscaled sums, K' e^{u_l} for columns: the barycenter update,
+        which keeps sum_l v_l = 0.
+
+        Raises:
+            NumericalError: if the log-domain update is not finite.
+        """
+        sums = self.sums(rows)
+        with np.errstate(all="ignore"):
+            if target is None:
+                log_sums = np.log(sums)
+                absorbed = self.u if rows else self.v
+                scaling = np.exp((log_sums - absorbed).mean(axis=0) - log_sums)
+            else:
+                scaling = target / sums
+        if 1.0 / SCALING_BOUND <= scaling.min() and scaling.max() <= SCALING_BOUND:
+            return replace(self, a=scaling) if rows else replace(self, b=scaling)
+
+        u, v = self.potentials()
+        if rows:
+            log_sums = lse(self.log_kernel + v[:, None, :], axis=2)
+        else:
+            log_sums = lse(self.log_kernel + u[:, :, None], axis=1)
+        log_target = log_sums.mean(axis=0) if target is None else np.log(target)
+        new = log_target - log_sums
+        if not np.all(np.isfinite(new)):
+            raise NumericalError("scaling half-step produced non-finite dual potentials")
+        u, v = (new, v) if rows else (u, new)
+        return ScalingKernel.start(self.log_kernel, u, v, self.absorptions + 1)
+
 
 @dataclass(frozen=True)
 class SinkhornState:
-    """Dual iterate, half-step counter and last measured l1 violation."""
+    """Dual iterate, half-step counter, last measured l1 violation, and the
+    number of times the scaling kernel absorbed its scalings."""
 
     pot: DualPotentials
     iteration: int = 0
     last_violation: float = math.inf
+    absorptions: int = 0
 
     @classmethod
     def initial(cls, n: int) -> "SinkhornState":
@@ -88,8 +183,14 @@ def dual_objective(u, v, C, gamma: float, p, q) -> float:
     evaluation smoke test.
     """
     logB = log_scaling_matrix(u, v, C, gamma)
-    mass = math.exp(_lse(logB.ravel()))
+    mass = math.exp(lse(logB))
     return gamma * (mass - float(np.dot(u, as_weights(p))) - float(np.dot(v, as_weights(q))))
+
+
+def _log_kernel(C, gamma: float) -> np.ndarray:
+    if not (gamma > 0):
+        raise ParameterError("gamma must be positive")
+    return -as_matrix(C) / gamma
 
 
 def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
@@ -97,20 +198,22 @@ def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
 
     Even iterations rebalance rows (u update), odd iterations columns
     (v update); afterwards the corresponding marginal of the coupling
-    matches its target to float precision.  Everything stays in the log
-    domain.
+    matches its target to float precision.  This is one half-step of the
+    scaling kernel, started at the state's potentials.
     """
     p = _require_positive(as_weights(p))
     q = _require_positive(as_weights(q))
-    u, v = state.pot.u.copy(), state.pot.v.copy()
-    logB = log_scaling_matrix(u, v, C, gamma)
-    if state.iteration % 2 == 0:
-        u = u + np.log(p) - _lse(logB, axis=1)
-    else:
-        v = v + np.log(q) - _lse(logB, axis=0)
-    logB = log_scaling_matrix(u, v, C, gamma)
-    violation = marginal_violation(np.exp(logB), p, q)
-    return SinkhornState(DualPotentials(u, v), state.iteration + 1, violation)
+    rows = state.iteration % 2 == 0
+    kernel = ScalingKernel.start(_log_kernel(C, gamma), state.pot.u[None], state.pot.v[None])
+    kernel = kernel.half_step(rows, (p if rows else q)[None])
+    u, v = kernel.potentials()
+    violation = marginal_violation(kernel.plans()[0], p, q)
+    return SinkhornState(
+        DualPotentials(u[0], v[0]),
+        state.iteration + 1,
+        violation,
+        state.absorptions + kernel.absorptions,
+    )
 
 
 def reg_gap_certificate(state: SinkhornState, C, gamma: float, p, q) -> float:
@@ -139,7 +242,6 @@ def sinkhorn_solve(
     max_iter: int | None = None,
     check_every: int = 10,
     trace: list | None = None,
-    scaling_form: bool = False,
 ) -> tuple[SinkhornState, TransportPlan]:
     """Iterate Sinkhorn half-steps until the l1 marginal violation is small.
 
@@ -153,9 +255,6 @@ def sinkhorn_solve(
             dense coupling is only materialized at checks and at output).
         trace: if a list is given, one (iteration, violation, dual,
             certificate) row is appended at every check.
-        scaling_form: use the multiplicative matrix-scaling fast path
-            instead of log-domain updates.  Only safe when gamma is large
-            enough that exp(-||C||_inf / gamma) does not underflow.
 
     Returns:
         The first checked state whose violation is <= eps_prime, plus the
@@ -163,6 +262,7 @@ def sinkhorn_solve(
 
     Raises:
         ConvergenceError: if the budget runs out; carries the trace.
+        NumericalError: at the half-step whose potentials stop being finite.
     """
     if not (eps_prime > 0):
         raise ParameterError("eps_prime must be positive")
@@ -176,48 +276,25 @@ def sinkhorn_solve(
     R = RadiusBound.from_instance(C, gamma, p, q).value
 
     n = p.size
-    log_p, log_q = np.log(p), np.log(q)
-    Cg = C / gamma
-    u = np.zeros(n)
-    v = np.zeros(n)
-    if scaling_form:
-        K = np.exp(-Cg)
-        a = np.ones(n)
-        b = np.ones(n)
-
+    kernel = ScalingKernel.start(_log_kernel(C, gamma), np.zeros((1, n)), np.zeros((1, n)))
+    targets = (p[None], q[None])
     for t in range(1, max_iter + 1):
-        if scaling_form:
-            if (t - 1) % 2 == 0:
-                a = p / (K @ b)
-            else:
-                b = q / (K.T @ a)
-        else:
-            logB = u[:, None] + v[None, :] - Cg
-            if (t - 1) % 2 == 0:
-                u = u + log_p - _lse(logB, axis=1)
-            else:
-                v = v + log_q - _lse(logB, axis=0)
-
+        kernel = kernel.half_step(t % 2 == 1, targets[(t - 1) % 2])
         if t % check_every == 0 or t == max_iter:
-            if scaling_form:
-                plan = a[:, None] * K * b[None, :]
-            else:
-                plan = np.exp(u[:, None] + v[None, :] - Cg)
+            plan = kernel.plans()[0]
             violation = marginal_violation(plan, p, q)
+            u, v = (x[0] for x in kernel.potentials())
             if trace is not None:
-                uu, vv = (np.log(a), np.log(b)) if scaling_form else (u, v)
                 trace.append(
                     {
                         "iteration": t,
                         "violation": violation,
-                        "dual_objective": dual_objective(uu, vv, C, gamma, p, q),
+                        "dual_objective": dual_objective(u, v, C, gamma, p, q),
                         "certificate": 0.5 * gamma * R * violation,
                     }
                 )
             if violation <= eps_prime:
-                if scaling_form:
-                    u, v = np.log(a), np.log(b)
-                state = SinkhornState(DualPotentials(u, v), t, violation)
+                state = SinkhornState(DualPotentials(u, v), t, violation, kernel.absorptions)
                 return state, TransportPlan(plan)
 
     raise ConvergenceError(
@@ -231,23 +308,19 @@ def kl_project(plan, target, axis: str) -> np.ndarray:
 
     The minimizer of KL(. | plan) over the affine set with the selected
     marginal equal to ``target`` is the plain rescaling
-    diag(target / current) applied to that axis.
+    diag(target / current) applied to that axis: one half-step of the
+    scaling kernel whose log kernel is ln(plan).
     """
     pi = as_matrix(plan)
     t = _require_positive(as_weights(target))
     if np.any(pi <= 0):
         raise DomainError("kl_project requires a strictly positive plan")
-    if axis == "rows":
-        sums = pi.sum(axis=1)
-        if np.any(sums == 0):
-            raise DomainError("zero row sum")
-        return pi * (t / sums)[:, None]
-    if axis == "columns":
-        sums = pi.sum(axis=0)
-        if np.any(sums == 0):
-            raise DomainError("zero column sum")
-        return pi * (t / sums)[None, :]
-    raise ParameterError(f"axis must be 'rows' or 'columns', got {axis!r}")
+    if axis not in ("rows", "columns"):
+        raise ParameterError(f"axis must be 'rows' or 'columns', got {axis!r}")
+    kernel = ScalingKernel.start(
+        np.log(pi), np.zeros((1, pi.shape[0])), np.zeros((1, pi.shape[1]))
+    )
+    return kernel.half_step(axis == "rows", t[None]).plans()[0]
 
 
 def approx_ot_sinkhorn(

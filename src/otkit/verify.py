@@ -464,7 +464,7 @@ def criterion_8() -> CriterionResult:
 # --- criterion 9 -----------------------------------------------------------
 
 def criterion_9() -> CriterionResult:
-    """Log-domain steps match KL projections entrywise; the log-sum-exp
+    """Sinkhorn half-steps match KL projections entrywise; the log-sum-exp
     reduction is shift invariant."""
     start = time.perf_counter()
     failures = []

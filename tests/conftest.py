@@ -28,3 +28,11 @@ def random_measures(seed, m, n):
         w = rng.uniform(0.5, 1.5, n)
         measures.append(DiscreteMeasure(w / w.sum()))
     return CostMatrix(C), measures
+
+
+def grid_cost(side):
+    """Squared Euclidean cost between the pixels of a side x side grid on
+    the unit square."""
+    ys, xs = np.mgrid[0:side, 0:side] / (side - 1)
+    pts = np.stack([ys.ravel(), xs.ravel()], axis=1)
+    return CostMatrix(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otkit.barycenter import (
     BarycenterProblem,
@@ -21,12 +22,30 @@ from otkit.barycenter import (
 from otkit.core import DiscreteMeasure, DomainError, reg_primal_objective
 from otkit.oracle import exact_barycenter_lp, exact_ot_lp
 from otkit.sinkhorn import sinkhorn_solve
-from conftest import random_instance, random_measures
+from conftest import grid_cost, random_instance, random_measures
 
 
 def make_problem(seed, m, n, gamma_scale=0.2):
     C, measures = random_measures(seed, m, n)
     return BarycenterProblem(tuple(measures), C, gamma_scale * C.inf_norm)
+
+
+def log_domain_ibp(problem, eps_prime, max_sweeps=100_000):
+    """Reference IBP loop: every half-step is a log-sum-exp over the stacked
+    log couplings.  Returns the half-step count and the (m, n, n) couplings
+    at the first sweep whose column marginals agree to eps_prime."""
+    logK = problem.log_kernel
+    P = problem.measure_stack()
+    u, v = np.zeros_like(P), np.zeros_like(P)
+    for sweep in range(1, max_sweeps + 1):
+        s = logsumexp(logK[None] + u[:, :, None], axis=1)
+        v = s.mean(axis=0)[None] - s
+        u = np.log(P) - logsumexp(logK[None] + v[:, None, :], axis=2)
+        plans = np.exp(u[:, :, None] + v[:, None, :] + logK[None])
+        cols = plans.sum(axis=1)
+        if np.abs(cols - cols.mean(axis=0)).sum(axis=1).mean() <= eps_prime:
+            return 2 * sweep, plans
+    raise AssertionError("reference did not converge")
 
 
 class TestIbpStep:
@@ -127,6 +146,19 @@ class TestIbpSolve:
             assert value <= last + 1e-11
             last = value
 
+    def test_stacked_kernel_matches_log_domain_when_absorbing(self):
+        # ||C||_inf / gamma = 800: the per-measure scalings outgrow their
+        # bound, so the shared kernel is absorbed into one per measure.
+        rng = np.random.default_rng(61)
+        measures = tuple(DiscreteMeasure(w) for w in rng.uniform(0.5, 1.5, (3, 16)))
+        C = grid_cost(4)
+        problem = BarycenterProblem(measures, C, C.inf_norm / 800.0)
+        t_ref, plans_ref = log_domain_ibp(problem, 1e-6)
+        sol = ibp_solve(problem, eps_prime=1e-6)
+        assert sol.state.kernel.absorptions > 0
+        assert sol.state.iteration == t_ref
+        assert np.abs(np.stack(sol.plans) - plans_ref).max() <= 1e-12
+
     def test_budget_exhaustion_carries_trace(self):
         from otkit.core import ConvergenceError
 
@@ -168,11 +200,13 @@ class TestBarycenterPipelines:
             assert val - lp_val <= eps
 
     def test_rounded_plans_exactly_feasible(self):
+        # Both solvers round onto the caller's measures, not the smoothed ones.
         C, measures = random_measures(63, 2, 3)
-        q_bar, plans, _ = barycenter_ibp(measures, C, eps=0.25 * C.inf_norm)
-        for plan, m in zip(plans, measures):
-            assert np.abs(plan.row_marginals - m.weights).max() <= 1e-12
-            assert np.abs(plan.col_marginals - q_bar).max() <= 1e-12
+        for solver in (barycenter_ibp, accelerated_ibp):
+            q_bar, plans, _ = solver(measures, C, eps=0.25 * C.inf_norm)
+            for plan, m in zip(plans, measures):
+                assert np.abs(plan.row_marginals - m.weights).max() <= 1e-12
+                assert np.abs(plan.col_marginals - q_bar).max() <= 1e-12
 
     def test_identical_measures_near_input(self):
         # the non-regularized optimum is p itself; the pipeline's marginal

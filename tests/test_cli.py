@@ -1,10 +1,14 @@
 """Command-line interface: manifests, artifacts, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otkit
 from otkit import cli, io
 from otkit.core import InputError
 
@@ -53,6 +57,15 @@ class TestIo:
     def test_edge_list_parsing(self, tmp_path):
         (tmp_path / "g.txt").write_text("0 1\n# comment\n1 2\n")
         assert io.load_edges(tmp_path / "g.txt") == [(0, 1), (1, 2)]
+
+    def test_saved_bytes_match_per_float_formatting(self, tmp_path):
+        m = np.array([[-0.0, 1.0, 5e-324], [1e300, 1.0 / 3.0, -2.5e-17]])
+        io.save_matrix(tmp_path / "m.csv", m)
+        expected = "".join(",".join(format(x, ".17g") for x in row) + "\n" for row in m)
+        assert (tmp_path / "m.csv").read_text() == expected
+        io.save_vector(tmp_path / "v.csv", m.ravel())
+        expected = "".join(format(x, ".17g") + "\n" for x in m.ravel())
+        assert (tmp_path / "v.csv").read_text() == expected
 
     def test_report_json_17_digits(self, tmp_path):
         io.write_report_json(tmp_path / "r.json", {"objective": 1.0 / 3.0})
@@ -257,3 +270,16 @@ def test_manifest_validation():
         manifest.validate()
     with pytest.raises(InputError, match="unknown command"):
         cli.RunManifest(command="noop", inputs={}, params={}).validate()
+
+
+def test_import_leaves_scipy_unloaded():
+    # Importing scipy.special alone took about 0.27 s, paid by every `ot` run.
+    src = str(Path(otkit.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import otkit, otkit.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from otkit.core import (
     TransportPlan,
     kl_divergence,
     logsumexp,
+    lse,
     marginal_violation,
     neg_entropy,
     scaling_matrix,
@@ -119,6 +120,14 @@ class TestLogsumexp:
     def test_nonpositive_weights(self):
         with pytest.raises(DomainError):
             logsumexp([0.0, 1.0], weights=[1.0, 0.0])
+
+    def test_axis_reduction_with_all_minus_inf_slice(self):
+        x = np.array([[-np.inf, -np.inf], [0.0, 0.0], [-np.inf, 2.0]])
+        out = lse(x, axis=1)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(math.log(2.0), abs=1e-15)
+        assert out[2] == 2.0
+        assert lse(x) == pytest.approx(2.0 + math.log(1.0 + 2.0 * math.exp(-2.0)))
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=12),

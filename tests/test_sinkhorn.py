@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otkit.core import (
     ConvergenceError,
     DomainError,
+    NumericalError,
     marginal_violation,
     reg_primal_objective,
     transport_cost,
@@ -25,7 +27,28 @@ from otkit.sinkhorn import (
     sinkhorn_solve,
     sinkhorn_step,
 )
-from conftest import random_instance
+from conftest import grid_cost, random_instance
+
+
+def log_domain_sinkhorn(C, gamma, p, q, eps_prime, check_every, max_iter=100_000):
+    """Reference loop: every half-step is a log-sum-exp over the log coupling.
+
+    Returns the half-step count and the coupling at the first check whose
+    l1 marginal violation is <= eps_prime.
+    """
+    Cg = C / gamma
+    u, v = np.zeros(p.size), np.zeros(q.size)
+    for t in range(1, max_iter + 1):
+        logB = u[:, None] + v[None, :] - Cg
+        if t % 2 == 1:
+            u = u + np.log(p) - logsumexp(logB, axis=1)
+        else:
+            v = v + np.log(q) - logsumexp(logB, axis=0)
+        if t % check_every == 0:
+            plan = np.exp(u[:, None] + v[None, :] - Cg)
+            if marginal_violation(plan, p, q) <= eps_prime:
+                return t, plan
+    raise AssertionError("reference did not converge")
 
 
 class TestRadiusBound:
@@ -142,13 +165,38 @@ class TestSinkhornSolve:
         assert err.value.trace
         assert err.value.trace[-1]["iteration"] == 20
 
-    def test_scaling_form_matches_log_domain(self):
-        C, p, q = random_instance(14, 5)
-        gamma = 0.5 * C.inf_norm  # large enough that exp(-C/gamma) is safe
-        s1, plan1 = sinkhorn_solve(C, gamma, p, q, 1e-8, check_every=1)
-        s2, plan2 = sinkhorn_solve(C, gamma, p, q, 1e-8, check_every=1, scaling_form=True)
-        assert s1.iteration == s2.iteration
-        assert np.abs(plan1.entries - plan2.entries).max() <= 1e-12
+    def test_kernel_matches_log_domain_when_absorbing(self):
+        # ||C||_inf / gamma = 2000: exp(-C / gamma) underflows and the
+        # scalings outgrow their bound, so the kernel absorbs them.
+        C = grid_cost(4)
+        rng = np.random.default_rng(14)
+        p, q = rng.uniform(0.5, 1.5, (2, 16))
+        p, q = p / p.sum(), q / q.sum()
+        gamma = C.inf_norm / 2000.0
+        t_ref, plan_ref = log_domain_sinkhorn(C.entries, gamma, p, q, 1e-3, check_every=1)
+        state, plan = sinkhorn_solve(C, gamma, p, q, 1e-3, check_every=1)
+        assert state.absorptions > 0
+        assert state.iteration == t_ref
+        assert np.abs(plan.entries - plan_ref).max() <= 1e-12
+
+    def test_underflowed_columns_take_the_log_domain_step(self):
+        # exp(-C / gamma) is [[1, 0], [0, 0]]: a multiplicative half-step
+        # divides by zero, while the log domain reaches p q' (C is a sum of
+        # row and column terms) in two half-steps.
+        C = np.array([[0.0, 0.5], [0.5, 1.0]])
+        p, q = np.array([0.6, 0.4]), np.array([0.3, 0.7])
+        t_ref, plan_ref = log_domain_sinkhorn(C, 1e-4, p, q, 1e-9, check_every=1)
+        state, plan = sinkhorn_solve(C, 1e-4, p, q, 1e-9, check_every=1)
+        assert state.iteration == t_ref == 2
+        assert np.abs(plan.entries - plan_ref).max() <= 1e-12
+        assert np.abs(plan.entries - np.outer(p, q)).max() <= 1e-12
+
+    def test_non_finite_potentials_raise_numerical_error(self):
+        # C / gamma overflows: the log kernel is -inf everywhere, so the
+        # log-domain redo has nothing to sum.
+        p = np.array([0.5, 0.5])
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            sinkhorn_step(SinkhornState.initial(2), np.ones((2, 2)), 1e-310, p, p)
 
     def test_trace_columns(self):
         C, p, q = random_instance(15, 4)
