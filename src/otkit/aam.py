@@ -42,15 +42,18 @@ TRACE_COLUMNS = (
     "rounding_cost_gap",
 )
 
-#: Absolute tolerance of the golden-section search for the mixing weight.
-LINE_SEARCH_TOL = 1e-10
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: The line search stops once its sign bracket on the mixing weight is this
+#: narrow: the slope's rounding noise then decides the last digits.
+LINE_SEARCH_WIDTH = 1e-14
 
 
 @dataclass(frozen=True)
 class AamState:
-    """Iterate of the accelerated scheme on the stacked (u, v) space."""
+    """Iterate of the accelerated scheme on the stacked (u, v) space.
+
+    ``phi_eta`` is the dual value at eta (NaN before the first iteration)
+    and ``line_search_evals`` counts the line search's exp passes so far.
+    """
 
     eta: np.ndarray
     zeta: np.ndarray
@@ -58,6 +61,8 @@ class AamState:
     A_big: float
     plan_avg: np.ndarray
     iteration: int = 0
+    phi_eta: float = math.nan
+    line_search_evals: int = 0
 
     @classmethod
     def initial(cls, C, gamma: float) -> "AamState":
@@ -147,26 +152,94 @@ def normalized_coupling(u, v, C, gamma: float) -> np.ndarray:
     return np.exp(logB - lse(logB.ravel()))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimize a convex univariate function on [lo, hi] to absolute tol."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    if not (math.isfinite(fc) and math.isfinite(fd)):
-        raise NumericalError("line search evaluated a non-finite dual value")
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
+def _slope_and_curvature(log_kernel, u, v, du, dv, scale, p, q, beta) -> tuple[float, float]:
+    """phi'(beta) and phi''(beta) of the stacked smooth dual along (du, dv).
+
+    Coupling l has log entries u_l + v_l' + L + beta * D_l with
+    D_l = du_l + dv_l'.  With pi_l its normalized coupling, the dual
+    scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>) has slope
+    scale * sum_l (E[D_l] - <du_l, p_l> - <dv_l, q_l>) and curvature
+    scale * sum_l Var[D_l] under pi_l (no q term when q is None).  One
+    exp pass gives both: the variance comes from the row and column sums
+    and one matrix-vector product, with du and dv centred on their means.
+    """
+    wu = u + beta * du
+    wv = v + beta * dv
+    B = (wu - wu.max(axis=1)[:, None])[:, :, None] + (wv - wv.max(axis=1)[:, None])[:, None, :]
+    B += log_kernel
+    B -= B.max(axis=(1, 2))[:, None, None]
+    np.exp(B, out=B)
+    mass = B.sum(axis=(1, 2))
+    rows = B.sum(axis=2) / mass[:, None]
+    cols = B.sum(axis=1) / mass[:, None]
+    mean_u = (du * rows).sum(axis=1)
+    mean_v = (dv * cols).sum(axis=1)
+    cu = du - mean_u[:, None]
+    cv = dv - mean_v[:, None]
+    cov = (cu * np.matmul(B, cv[:, :, None])[:, :, 0]).sum(axis=1) / mass
+    var = (rows * cu * cu).sum(axis=1) + (cols * cv * cv).sum(axis=1) + 2.0 * cov
+    slope = mean_u + mean_v - (du * p).sum(axis=1)
+    if q is not None:
+        slope = slope - (dv * q).sum(axis=1)
+    return scale * float(slope.sum()), scale * float(var.sum())
+
+
+def newton_line_search(log_kernel, u, v, du, dv, scale: float, p, q=None) -> tuple[float, int]:
+    """Minimize the stacked smooth dual over the segment (u, v) + beta (du, dv),
+    beta in [0, 1]; see ``_slope_and_curvature`` for the dual.
+
+    The dual is convex in beta, so its slope is nondecreasing.  Returns 0
+    when the slope at 0 is >= 0 and 1 when the slope at 1 is <= 0.
+    Otherwise it keeps a sign bracket on the slope and takes Newton steps
+    inside it, starting from the end with the smaller slope magnitude, and
+    bisects when a step leaves the bracket or the curvature is not
+    positive.  A Newton step shorter than half of ``LINE_SEARCH_WIDTH`` is
+    lengthened to that, so that the probe after convergence closes the
+    bracket.  Stops once the bracket is at most ``LINE_SEARCH_WIDTH`` wide
+    and returns its midpoint.  All arrays are (m, n).
+
+    Returns:
+        The mixing weight, and the number of exp passes spent on it.
+
+    Raises:
+        NumericalError: if a slope or curvature is not finite.
+    """
+    evals = 0
+
+    def probe(beta: float) -> tuple[float, float]:
+        nonlocal evals
+        evals += 1
+        slope, curv = _slope_and_curvature(log_kernel, u, v, du, dv, scale, p, q, beta)
+        if not (math.isfinite(slope) and math.isfinite(curv)):
+            raise NumericalError("line search evaluated a non-finite slope or curvature")
+        return slope, curv
+
+    slope_lo, curv_lo = probe(0.0)
+    if slope_lo >= 0.0:
+        return 0.0, evals
+    slope_hi, curv_hi = probe(1.0)
+    if slope_hi <= 0.0:
+        return 1.0, evals
+    lo, hi = 0.0, 1.0
+    if -slope_lo <= slope_hi:
+        beta, slope, curv = lo, slope_lo, curv_lo
+    else:
+        beta, slope, curv = hi, slope_hi, curv_hi
+    while hi - lo > LINE_SEARCH_WIDTH:
+        step = -slope / curv if curv > 0.0 else math.nan
+        if abs(step) < 0.5 * LINE_SEARCH_WIDTH:
+            step = math.copysign(0.5 * LINE_SEARCH_WIDTH, step)
+        if not (lo < beta + step < hi):
+            step = 0.5 * (lo + hi) - beta
+        beta += step
+        slope, curv = probe(beta)
+        if slope == 0.0:
+            return beta, evals
+        if slope < 0.0:
+            lo = beta
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        if not (math.isfinite(fc) and math.isfinite(fd)):
-            raise NumericalError("line search evaluated a non-finite dual value")
-    return 0.5 * (a + b)
+            hi = beta
+    return 0.5 * (lo + hi), evals
 
 
 def _shift_blocks(x: np.ndarray) -> np.ndarray:
@@ -179,34 +252,6 @@ def _shift_blocks(x: np.ndarray) -> np.ndarray:
     """
     u, v = _split(x)
     return np.concatenate([u - u.max(), v - v.max()])
-
-
-def _refine_beta(dphi, beta: float, pad: float = 1e-4, width: float = 1e-14) -> float:
-    """Polish a line-search result by bisecting the directional derivative.
-
-    Value-only comparisons cannot place the minimizer of a flat valley
-    more accurately than the square root of the evaluation noise; the
-    derivative crosses zero with full slope, so its sign bisection pins
-    beta to float resolution and is invariant under the block-shift gauge
-    (each gradient block sums to zero).
-    """
-    lo = max(0.0, beta - pad)
-    hi = min(1.0, beta + pad)
-    if dphi(lo) > 0.0:
-        lo = 0.0
-        if dphi(lo) >= 0.0:
-            return 0.0
-    if dphi(hi) < 0.0:
-        hi = 1.0
-        if dphi(hi) <= 0.0:
-            return 1.0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = True) -> AamState:
@@ -225,22 +270,14 @@ def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = 
         return dual_objective_lip(_split(x), C, gamma, p, q)
 
     eta, zeta = state.eta, state.zeta
+    evals = 0
     if np.array_equal(eta, zeta):
         mu = eta.copy()
     else:
-        direction = zeta - eta
-
-        def dphi(b: float) -> float:
-            point = _shift_blocks(eta + b * direction)
-            gu_b, gv_b = dual_partial_gradients(_split(point), C, gamma, p, q)
-            return float(direction @ np.concatenate([gu_b, gv_b]))
-
-        # Evaluating through the canonical gauge keeps the search sequence
-        # identical whether or not the iterates themselves are normalized.
-        beta = _golden_section(
-            lambda b: phi(_shift_blocks(eta + b * direction)), 0.0, 1.0, LINE_SEARCH_TOL
+        (eta_u, eta_v), (du, dv) = _split(eta), _split(zeta - eta)
+        beta, evals = newton_line_search(
+            -C / gamma, eta_u[None], eta_v[None], du[None], dv[None], gamma, p[None], q[None]
         )
-        beta = _refine_beta(dphi, beta)
         mu = beta * zeta + (1.0 - beta) * eta
     if shift_normalize:
         mu = _shift_blocks(mu)
@@ -271,6 +308,8 @@ def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = 
             A_big=A,
             plan_avg=pi_mu if A == 0.0 else state.plan_avg,
             iteration=state.iteration + 1,
+            phi_eta=phi_eta_new,
+            line_search_evals=state.line_search_evals + evals,
         )
 
     # Positive root of a^2 ||g||^2 - 2 delta a - 2 delta A = 0 with
@@ -291,6 +330,8 @@ def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = 
         A_big=A_new,
         plan_avg=plan_avg,
         iteration=state.iteration + 1,
+        phi_eta=phi_eta_new,
+        line_search_evals=state.line_search_evals + evals,
     )
 
 
@@ -323,7 +364,7 @@ def aam_solve(
         state = aam_iterate(state, C, gamma, p, q, shift_normalize=shift_normalize)
         if state.iteration % check_every != 0:
             continue
-        phi_eta = dual_objective_lip(_split(state.eta), C, gamma, p, q)
+        phi_eta = state.phi_eta
         pi_eta = normalized_coupling(state.eta[: p.size], state.eta[p.size :], C, gamma)
         feasible = round_to_polytope(pi_eta, p, q)
         width = reg_primal_objective(feasible.entries, C, gamma) + phi_eta
@@ -346,6 +387,7 @@ def aam_solve(
                     "dual_value": phi_eta,
                     "upper_bound": reg_primal_objective(feasible.entries, C, gamma),
                     "coupling_violation": marginal_violation(pi_eta, p, q),
+                    "line_search_evals": state.line_search_evals,
                 },
             )
             return state, report
@@ -414,7 +456,7 @@ def accelerated_ot(
         state = aam_iterate(state, C, gamma, ps, qs)
         plan_hat = round_to_polytope(state.plan_avg, p, q)
         cost_gap = transport_cost(plan_hat.entries, C) - transport_cost(state.plan_avg, C)
-        phi_eta = dual_objective_lip(_split(state.eta), C, gamma, ps, qs)
+        phi_eta = state.phi_eta
         primal = reg_primal_objective(state.plan_avg, C, gamma)
         gap = primal + phi_eta
         if trace is not None:
@@ -439,6 +481,7 @@ def accelerated_ot(
                     "primal_value": primal,
                     "duality_gap": gap,
                     "rounding_cost_gap": cost_gap,
+                    "line_search_evals": state.line_search_evals,
                 },
             )
             return plan_hat, report

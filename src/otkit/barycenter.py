@@ -29,6 +29,7 @@ from .core import (
     smooth_measure,
     transport_cost,
 )
+from .aam import newton_line_search
 from .rounding import round_to_polytope
 from .sinkhorn import ScalingKernel, _require_positive, default_max_iter
 
@@ -178,7 +179,7 @@ def ibp_solve(
         if checks is not None:
             checks.append(_ibp_check_row(state, problem, kind="u"))
 
-        q_l = state.kernel.b * state.kernel.sums(rows=False)
+        q_l = state.kernel.marginals(rows=False)
         q_bar = q_l.mean(axis=0)
         spread = float(np.abs(q_l - q_bar).sum(axis=1).mean())
         if trace is not None:
@@ -334,6 +335,8 @@ class _WbAamState:
     A_big: float
     plans_avg: np.ndarray  # (m, n, n)
     iteration: int = 0
+    phi_eta: float = math.nan  # dual value at eta
+    line_search_evals: int = 0
 
 
 def _wb_aam_iterate(
@@ -345,33 +348,25 @@ def _wb_aam_iterate(
     v-block gradient is projected onto the zero-sum subspace, which both
     block-exact updates preserve.
     """
-    from .aam import LINE_SEARCH_TOL, _golden_section, _refine_beta  # shared line search
-
     logK = problem.log_kernel
     p = problem.measure_stack()
 
     def phi(u, v):
         return wb_dual_objective((u, v), problem)
 
-    eta = (st.eta_u, st.eta_v)
-    zeta = (st.zeta_u, st.zeta_v)
+    evals = 0
     if np.array_equal(st.eta_u, st.zeta_u) and np.array_equal(st.eta_v, st.zeta_v):
         mu_u, mu_v = st.eta_u.copy(), st.eta_v.copy()
     else:
-        du, dv = zeta[0] - eta[0], zeta[1] - eta[1]
-
-        def dphi(b: float) -> float:
-            gu_b, gv_b = wb_dual_gradients((eta[0] + b * du, eta[1] + b * dv), problem)
-            return float((du * gu_b).sum() + (dv * gv_b).sum())
-
-        beta = _golden_section(
-            lambda b: phi(eta[0] + b * du, eta[1] + b * dv), 0.0, 1.0, LINE_SEARCH_TOL
+        du, dv = st.zeta_u - st.eta_u, st.zeta_v - st.eta_v
+        beta, evals = newton_line_search(
+            logK, st.eta_u, st.eta_v, du, dv, problem.gamma / problem.m, p
         )
-        beta = _refine_beta(dphi, beta)
-        mu_u = beta * zeta[0] + (1.0 - beta) * eta[0]
-        mu_v = beta * zeta[1] + (1.0 - beta) * eta[1]
-    # Per-measure shift of u is free (the <u_l, p_l> term compensates).
-    mu_u = mu_u - np.abs(mu_u).max(axis=1)[:, None]
+        mu_u = beta * st.zeta_u + (1.0 - beta) * st.eta_u
+        mu_v = beta * st.zeta_v + (1.0 - beta) * st.eta_v
+    # Per-measure shift of u is free (the <u_l, p_l> term compensates); the
+    # same max-at-zero gauge as the transport case.
+    mu_u = mu_u - mu_u.max(axis=1)[:, None]
 
     gu, gv_raw = wb_dual_gradients((mu_u, mu_v), problem)
     gv = _project_zero_sum(gv_raw)
@@ -394,6 +389,7 @@ def _wb_aam_iterate(
         return _WbAamState(
             eta_u_new, eta_v_new, st.zeta_u.copy(), st.zeta_v.copy(), A,
             plans_mu if A == 0.0 else st.plans_avg, st.iteration + 1,
+            phi_eta_new, st.line_search_evals + evals,
         )
 
     delta = max(phi_mu - phi_eta_new, 0.0)
@@ -403,7 +399,8 @@ def _wb_aam_iterate(
     zeta_v_new = st.zeta_v - a * gv
     plans_avg = plans_mu if A_new == 0.0 else (a * plans_mu + A * st.plans_avg) / A_new
     return _WbAamState(
-        eta_u_new, eta_v_new, zeta_u_new, zeta_v_new, A_new, plans_avg, st.iteration + 1
+        eta_u_new, eta_v_new, zeta_u_new, zeta_v_new, A_new, plans_avg, st.iteration + 1,
+        phi_eta_new, st.line_search_evals + evals,
     )
 
 
@@ -473,7 +470,7 @@ def accelerated_ibp(
                 ]
             )
         )
-        phi_eta = wb_dual_objective((st.eta_u, st.eta_v), problem)
+        phi_eta = st.phi_eta
         gap = primal + phi_eta
         if trace is not None:
             trace.append(
@@ -499,6 +496,7 @@ def accelerated_ibp(
                 },
                 trace=trace,
                 trace_columns=AIBP_TRACE_COLUMNS,
+                extras={"line_search_evals": st.line_search_evals},
             )
             return q_bar, rounded, report
     raise ConvergenceError(

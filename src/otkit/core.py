@@ -365,15 +365,22 @@ def kl_divergence(a, b) -> float:
 
 
 def marginal_violation(plan, p, q) -> float:
-    """l1 distance of the plan's marginals from (p, q); zero iff feasible."""
-    pi = as_matrix(plan)
+    """l1 distance of the plan's marginals from (p, q); zero iff feasible.
+
+    ``plan`` is a matrix, or any object with ``row_marginals`` and
+    ``col_marginals`` (a TransportPlan, or a coupling known by its sums).
+    """
+    if hasattr(plan, "row_marginals"):
+        rows = as_weights(plan.row_marginals)
+        cols = as_weights(plan.col_marginals)
+    else:
+        pi = as_matrix(plan)
+        rows, cols = pi.sum(axis=1), pi.sum(axis=0)
     p = as_weights(p)
     q = as_weights(q)
-    if pi.shape != (p.size, q.size):
+    if (rows.size, cols.size) != (p.size, q.size):
         raise DomainError("plan and marginals have mismatched dimensions")
-    return float(
-        np.abs(pi.sum(axis=1) - p).sum() + np.abs(pi.sum(axis=0) - q).sum()
-    )
+    return float(np.abs(rows - p).sum() + np.abs(cols - q).sum())
 
 
 def transport_cost(plan, C) -> float:

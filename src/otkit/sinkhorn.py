@@ -89,6 +89,11 @@ class ScalingKernel:
             return np.matmul(K, self.b[:, :, None])[:, :, 0]
         return np.matmul(self.a[:, None, :], K)[:, 0, :]
 
+    def marginals(self, rows: bool) -> np.ndarray:
+        """Row (or column) marginals of every coupling, as (m, n), from one
+        matrix product instead of the dense couplings."""
+        return self.a * self.sums(True) if rows else self.b * self.sums(False)
+
     def plans(self) -> np.ndarray:
         """The couplings, as (m, n, n)."""
         return self.a[:, :, None] * self.K * self.b[:, None, :]
@@ -193,6 +198,21 @@ def _log_kernel(C, gamma: float) -> np.ndarray:
     return -as_matrix(C) / gamma
 
 
+@dataclass(frozen=True)
+class _CouplingSums:
+    """A coupling known by its marginals alone."""
+
+    row_marginals: np.ndarray
+    col_marginals: np.ndarray
+
+
+def _violation(kernel: ScalingKernel, p, q) -> float:
+    """``marginal_violation`` of the kernel's single coupling, from its sums
+    instead of the dense plan."""
+    sums = _CouplingSums(kernel.marginals(rows=True)[0], kernel.marginals(rows=False)[0])
+    return marginal_violation(sums, p, q)
+
+
 def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
     """One exact half-step of alternating dual minimization.
 
@@ -207,7 +227,7 @@ def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
     kernel = ScalingKernel.start(_log_kernel(C, gamma), state.pot.u[None], state.pot.v[None])
     kernel = kernel.half_step(rows, (p if rows else q)[None])
     u, v = kernel.potentials()
-    violation = marginal_violation(kernel.plans()[0], p, q)
+    violation = _violation(kernel, p, q)
     return SinkhornState(
         DualPotentials(u[0], v[0]),
         state.iteration + 1,
@@ -251,8 +271,9 @@ def sinkhorn_solve(
         p, q: strictly positive marginals.
         eps_prime: target l1 marginal violation.
         max_iter: half-step budget; defaults to twice the rate envelope.
-        check_every: violation is measured every this many half-steps (the
-            dense coupling is only materialized at checks and at output).
+        check_every: violation is measured every this many half-steps, from
+            the scalings and two matrix-vector products (the dense coupling
+            is only materialized at output).
         trace: if a list is given, one (iteration, violation, dual,
             certificate) row is appended at every check.
 
@@ -281,8 +302,7 @@ def sinkhorn_solve(
     for t in range(1, max_iter + 1):
         kernel = kernel.half_step(t % 2 == 1, targets[(t - 1) % 2])
         if t % check_every == 0 or t == max_iter:
-            plan = kernel.plans()[0]
-            violation = marginal_violation(plan, p, q)
+            violation = _violation(kernel, p, q)
             u, v = (x[0] for x in kernel.potentials())
             if trace is not None:
                 trace.append(
@@ -295,7 +315,7 @@ def sinkhorn_solve(
                 )
             if violation <= eps_prime:
                 state = SinkhornState(DualPotentials(u, v), t, violation, kernel.absorptions)
-                return state, TransportPlan(plan)
+                return state, TransportPlan(kernel.plans()[0])
 
     raise ConvergenceError(
         f"sinkhorn did not reach violation {eps_prime:g} in {max_iter} half-steps",

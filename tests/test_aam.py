@@ -8,17 +8,21 @@ import pytest
 from otkit.aam import (
     AamState,
     DistanceBound,
+    _slope_and_curvature,
     aam_iterate,
     aam_solve,
     accelerated_ot,
     dual_objective_lip,
     dual_partial_gradients,
+    newton_line_search,
     normalized_coupling,
 )
-from otkit.core import reg_primal_objective, transport_cost
+from otkit.barycenter import BarycenterProblem, wb_dual_gradients
+from otkit.core import NumericalError, reg_primal_objective, transport_cost
 from otkit.oracle import exact_ot_lp
 from otkit.sinkhorn import approx_ot_sinkhorn
-from conftest import random_instance
+from otkit.verify import approx_instances
+from conftest import random_instance, random_measures
 
 
 def _phi(state_vec, C, gamma, p, q):
@@ -130,6 +134,14 @@ class TestIterate:
             assert value <= last + 1e-11
             last = value
 
+    def test_state_carries_dual_value_at_eta(self):
+        C, p, q = random_instance(35, 8)
+        gamma = 0.15 * C.inf_norm
+        state = AamState.initial(C, gamma)
+        for _ in range(10):
+            state = aam_iterate(state, C, gamma, p, q)
+            assert state.phi_eta == _phi(state.eta, C, gamma, p, q)
+
     def test_accumulated_weight_nondecreasing(self):
         C, p, q = random_instance(36, 5)
         state = AamState.initial(C, 0.3)
@@ -176,6 +188,112 @@ class TestIterate:
                 _phi(s_off.eta, C, gamma, p, q), abs=1e-9
             )
             assert np.abs(s_on.plan_avg - s_off.plan_avg).max() <= 1e-9
+
+
+def _bisect_slope(slope, steps=200):
+    """Reference minimizer on [0, 1]: bisection of the slope's sign."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _transport_line(seed, n, gamma):
+    """Random potentials, a direction and the slope along it, computed from
+    ``dual_partial_gradients``, for the search's unstacked (m = 1) form."""
+    C, p, q = random_instance(seed, n)
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=n), rng.normal(size=n)
+    du, dv = 3.0 * rng.normal(size=n), 3.0 * rng.normal(size=n)
+
+    def slope(b):
+        gu, gv = dual_partial_gradients((u + b * du, v + b * dv), C, gamma, p, q)
+        return float(du @ gu + dv @ gv)
+
+    args = (-C.entries / gamma, u[None], v[None], du[None], dv[None], gamma, p[None], q[None])
+    return args, slope
+
+
+def _barycenter_line(seed, m, n):
+    """The same for the stacked barycenter dual, from ``wb_dual_gradients``."""
+    C, measures = random_measures(seed, m, n)
+    problem = BarycenterProblem(tuple(measures), C, 0.2 * C.inf_norm)
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+    du, dv = 3.0 * rng.normal(size=(m, n)), 3.0 * rng.normal(size=(m, n))
+
+    def slope(b):
+        gu, gv = wb_dual_gradients((u + b * du, v + b * dv), problem)
+        return float((du * gu).sum() + (dv * gv).sum())
+
+    args = (problem.log_kernel, u, v, du, dv, problem.gamma / m, problem.measure_stack(), None)
+    return args, slope
+
+
+def _lines():
+    for seed in range(20):
+        yield _transport_line(100 + seed, 4 + seed % 5, 0.1 + 0.05 * (seed % 4))
+        yield _barycenter_line(200 + seed, 1 + seed % 3, 3 + seed % 4)
+
+
+class TestNewtonLineSearch:
+    def test_slope_and_curvature_match_gradients_and_differences(self):
+        for args, slope in _lines():
+            for b in (0.0, 0.3, 1.0):
+                s, c = _slope_and_curvature(*args, b)
+                assert s == pytest.approx(slope(b), rel=1e-10, abs=1e-14)
+                h = 1e-5
+                fd = (slope(b + h) - slope(b - h)) / (2.0 * h)
+                assert c >= 0.0
+                assert c == pytest.approx(fd, rel=1e-5, abs=1e-12)
+
+    def test_matches_slope_bisection(self):
+        interior = 0
+        for args, slope in _lines():
+            # Point the direction downhill at 0; the minimizer is then in (0, 1].
+            log_kernel, u, v, du, dv, *rest = args
+            sign = -1.0 if slope(0.0) > 0.0 else 1.0
+            args = (log_kernel, u, v, sign * du, sign * dv, *rest)
+            beta, evals = newton_line_search(*args)
+            ref = _bisect_slope(lambda b: _slope_and_curvature(*args, b)[0])
+            assert abs(beta - ref) <= 1e-12
+            assert 0.0 < beta < 1.0 or evals <= 2
+            assert evals <= 12  # bisection alone needs 49
+            interior += 0.0 < beta < 1.0
+        assert interior >= 30
+
+    def test_boundary_cases_are_exact(self):
+        (log_kernel, u, v, du, dv, *rest), slope = _transport_line(300, 6, 0.2)
+        uphill = 1.0 if slope(0.0) > 0.0 else -1.0
+
+        def line(t):
+            return (log_kernel, u, v, t * du, t * dv, *rest)
+
+        # The slope at 0 is positive, or zero along a zero direction.
+        assert newton_line_search(*line(uphill)) == (0.0, 1)
+        assert newton_line_search(*line(0.0)) == (0.0, 1)
+        # A short step downhill: the slope at 1 is still negative.
+        assert _slope_and_curvature(*line(-1e-3 * uphill), 1.0)[0] < 0.0
+        assert newton_line_search(*line(-1e-3 * uphill)) == (1.0, 2)
+
+    def test_non_finite_slope_raises(self):
+        args, _ = _transport_line(301, 5, 0.2)
+        log_kernel, u, v, du, dv, *rest = args
+        du = du.copy()
+        du[0, 2] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            newton_line_search(log_kernel, u, v, du, dv, *rest)
+
+    def test_passes_per_iteration_on_criterion_4_instances(self):
+        for _, (C, p, q) in approx_instances():
+            _, report = accelerated_ot(C, p.weights, q.weights, 0.1 * C.inf_norm)
+            assert report.extras["line_search_evals"] <= 8 * report.iterations
+            _, report = aam_solve(C, 0.05 * C.inf_norm, p.weights, q.weights, gap_tol=2e-7)
+            assert report.extras["line_search_evals"] <= 8 * report.iterations
 
 
 class TestDistanceBound:

@@ -237,6 +237,12 @@ class TestBarycenterPipelines:
         assert rep_a.params["gamma"] == pytest.approx(eps / (2.0 * math.log(4)))
         assert rep_a.params["eps_prime"] == pytest.approx(eps / (8.0 * C.inf_norm))
 
+    def test_aibp_line_search_passes_per_iteration(self):
+        C, measures = random_measures(65, 3, 8)
+        _, _, report = accelerated_ibp(measures, C, 0.1 * C.inf_norm)
+        assert report.iterations > 10
+        assert 0 < report.extras["line_search_evals"] <= 8 * report.iterations
+
     def test_aibp_exactness_checks(self):
         C, measures = random_measures(67, 2, 3)
         checks: list[dict] = []

@@ -236,6 +236,11 @@ class TestMarginalViolation:
         p = np.array([0.5, 0.5])
         assert marginal_violation(np.zeros((2, 2)), p, p) == pytest.approx(2.0)
 
+    def test_plan_objects_give_the_matrix_value(self):
+        plan = np.array([[0.5, 0.1], [0.1, 0.3]])
+        p = np.array([0.5, 0.5])
+        assert marginal_violation(TransportPlan(plan), p, p) == marginal_violation(plan, p, p)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             marginal_violation(np.zeros((2, 2)), np.ones(3) / 3, np.ones(2) / 2)

@@ -18,6 +18,7 @@ from otkit.oracle import exact_ot_lp
 from otkit.rounding import round_to_polytope
 from otkit.sinkhorn import (
     RadiusBound,
+    ScalingKernel,
     SinkhornState,
     approx_ot_sinkhorn,
     coupled_plan,
@@ -197,6 +198,36 @@ class TestSinkhornSolve:
         p = np.array([0.5, 0.5])
         with np.errstate(over="ignore"), pytest.raises(NumericalError):
             sinkhorn_step(SinkhornState.initial(2), np.ones((2, 2)), 1e-310, p, p)
+
+    def test_check_matches_dense_plan_violation(self):
+        # The stopping check reads the violation off the scalings and two
+        # matrix-vector products.  A loop over the same half-steps that
+        # builds the dense plan at every check stops at the same half-step
+        # with the same violations.  Checks every 5 half-steps land after
+        # row and after column updates alike.
+        C4 = grid_cost(4)
+        rng = np.random.default_rng(16)
+        p4, q4 = rng.uniform(0.5, 1.5, (2, 16))
+        Cr, pr, qr = random_instance(17, 12)
+        cases = (
+            (C4, C4.inf_norm / 2000.0, p4 / p4.sum(), q4 / q4.sum(), 1e-3),
+            (Cr, 0.05, pr, qr, 1e-6),
+        )
+        for C, gamma, p, q, eps_prime in cases:
+            trace: list[dict] = []
+            state, plan = sinkhorn_solve(C, gamma, p, q, eps_prime, check_every=5, trace=trace)
+            n = p.size
+            kernel = ScalingKernel.start(-C.entries / gamma, np.zeros((1, n)), np.zeros((1, n)))
+            dense = []
+            for t in range(1, state.iteration + 1):
+                kernel = kernel.half_step(t % 2 == 1, (p if t % 2 == 1 else q)[None])
+                if t % 5 == 0:
+                    dense.append(marginal_violation(kernel.plans()[0], p, q))
+            assert all(v > eps_prime for v in dense[:-1]) and dense[-1] <= eps_prime
+            assert [row["iteration"] for row in trace] == list(range(5, state.iteration + 1, 5))
+            for row, violation in zip(trace, dense):
+                assert abs(row["violation"] - violation) <= 1e-14
+            assert abs(state.last_violation - marginal_violation(plan.entries, p, q)) <= 1e-14
 
     def test_trace_columns(self):
         C, p, q = random_instance(15, 4)
