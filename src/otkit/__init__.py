@@ -57,7 +57,7 @@ from .barycenter import (
 )
 from .decentralized import (
     CommunicationGraph,
-    NodeState,
+    NetworkState,
     SimConfig,
     condition_number,
     decentralized_dual_step,

@@ -27,6 +27,7 @@ from .core import (
     lse,
     neg_entropy,
     smooth_measure,
+    softmax,
     transport_cost,
 )
 from .aam import newton_line_search
@@ -509,36 +510,54 @@ def accelerated_ibp(
 # Fenchel-Legendre transform of the regularized transport value
 # ---------------------------------------------------------------------------
 
+def _conjugate_args(U, P, C, gamma):
+    if not (gamma > 0):
+        raise ParameterError("gamma must be positive")
+    U = np.asarray(U, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if U.ndim != 2 or U.shape != P.shape:
+        raise DomainError("expected matching (m, n) stacks of duals and measures")
+    return U, P, as_matrix(C)
+
+
+def fenchel_dual_values(U, P, C, gamma: float) -> np.ndarray:
+    """``fenchel_dual_ot`` at every row pair (U[k], P[k]) of two (m, n)
+    stacks, as an (m,) array, from one (m, n, n) log-sum-exp pass."""
+    U, P, C = _conjugate_args(U, P, C, gamma)
+    if np.any(P <= 0):
+        raise DomainError("measure must be strictly positive")
+    Z = U[:, None, :] - C
+    Z /= gamma  # [k, j, i] = (u_ki - C_ji) / gamma
+    lse_rows = lse(Z, axis=2, overwrite=True)
+    return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
+
+
+def fenchel_dual_gradients(U, P, C, gamma: float) -> np.ndarray:
+    """``fenchel_dual_gradient`` at every row pair (U[k], P[k]) of two
+    (m, n) stacks, as an (m, n) array, from one (m, n, n) softmax pass."""
+    U, P, C = _conjugate_args(U, P, C, gamma)
+    Z = U[:, None, :] - C
+    Z /= gamma
+    soft = softmax(Z)  # [k, j]: softmax over i of (u_ki - C_ji) / gamma
+    return (P[:, None, :] @ soft)[:, 0, :]
+
+
 def fenchel_dual_ot(u, p, C, gamma: float) -> float:
     """Convex conjugate of the regularized transport value in its second
     marginal, evaluated in closed form.
 
     Value: gamma * sum_j p_j ln( sum_i exp((u_i - C_ji)/gamma) )
     - gamma * <p, ln p>.  Convex in u; adding c to every u_i adds exactly c.
+    The m = 1 case of ``fenchel_dual_values``.
     """
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    u = as_weights(u)
-    p = as_weights(p)
-    C = as_matrix(C)
-    if np.any(p <= 0):
-        raise DomainError("measure must be strictly positive")
-    Z = (u[None, :] - C) / gamma  # row j: (u_i - C_ji) / gamma over i
-    lse_rows = lse(Z, axis=1)
-    return float(gamma * (p @ lse_rows) - gamma * (p @ np.log(p)))
+    return float(fenchel_dual_values(as_weights(u)[None], as_weights(p)[None], C, gamma)[0])
 
 
 def fenchel_dual_gradient(u, p, C, gamma: float) -> np.ndarray:
     """Gradient of ``fenchel_dual_ot``: a p-mixture of softmax columns.
 
     Component l: sum_j p_j softmax_i((u_i - C_ji)/gamma)[l].  Always a
-    point of the probability simplex.
+    point of the probability simplex.  The m = 1 case of
+    ``fenchel_dual_gradients``.
     """
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    u = as_weights(u)
-    p = as_weights(p)
-    C = as_matrix(C)
-    Z = (u[None, :] - C) / gamma
-    soft = np.exp(Z - lse(Z, axis=1)[:, None])  # row j: softmax over i
-    return soft.T @ p
+    return fenchel_dual_gradients(as_weights(u)[None], as_weights(p)[None], C, gamma)[0]

@@ -2,8 +2,9 @@
 
 Discrete measures, cost matrices, transport plans and dual potentials,
 plus the scaling kernel B(u, v), entropy/KL functionals, the l1
-marginal-violation metric, a max-subtracting log-sum-exp, and the
-marginal-smoothing transform used by the approximation pipelines.
+marginal-violation metric, a max-subtracting log-sum-exp and softmax,
+and the marginal-smoothing transform used by the approximation
+pipelines.
 
 All values are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -278,19 +279,36 @@ def as_matrix(a) -> np.ndarray:
 # Operations
 # ---------------------------------------------------------------------------
 
-def lse(x, axis=None):
+def lse(x, axis=None, overwrite: bool = False):
     """Log of the sum of exponentials of ``x`` along ``axis`` (all entries
     by default), computed by subtracting the maximum.
 
     An all ``-inf`` slice reduces to ``-inf``, not NaN: its maximum is
-    replaced by 0 before the subtraction.
+    replaced by 0 before the subtraction.  With ``overwrite``, ``x`` must
+    be a float array the caller no longer needs: it is shifted and
+    exponentiated in place instead of in a temporary of its size.
     """
     x = np.asarray(x, dtype=float)
     top = np.max(x, axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    if overwrite:
+        x -= top
+        e = np.exp(x, out=x)
+    else:
+        e = np.exp(x - top)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
+        out = np.log(np.sum(e, axis=axis, keepdims=True)) + top
     return np.squeeze(out, axis=axis)[()]
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis in one exp pass: subtract the maximum,
+    exponentiate, divide by the sum.  Overwrites and returns ``z``, a float
+    array the caller owns."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def logsumexp(values, weights=None) -> float:

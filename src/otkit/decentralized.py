@@ -1,10 +1,12 @@
 """Decentralized barycenter computation over a communication graph.
 
 Each node holds one measure and a dual block; a round applies the
-Laplacian-weighted gradient step u_i <- u_i - (1/L) sum_j W_ij q_j using
-only neighbor values, then refreshes the local marginal estimate
-q_i = grad of the conjugate transport value at u_i.  A synchronous
-round-based simulator enforces the locality pattern and counts one
+Laplacian-weighted gradient step u_i <- u_i - (1/L) sum_j W_ij q_j, then
+refreshes the local marginal estimate q_i = grad of the conjugate
+transport value at u_i.  The simulator holds the network as (m, n)
+arrays and runs a round as whole-array operations: row i of W @ Q mixes
+only node i's own estimate and its graph neighbors', since the
+off-diagonal support of the Laplacian W is the edge set.  It counts one
 message per edge per round.
 """
 
@@ -19,12 +21,12 @@ from .core import (
     DiscreteMeasure,
     DomainError,
     ParameterError,
-    ProtocolError,
     SolveReport,
     as_matrix,
     as_weights,
+    softmax,
 )
-from .barycenter import fenchel_dual_gradient, fenchel_dual_ot
+from .barycenter import fenchel_dual_gradients, fenchel_dual_values
 
 TRACE_COLUMNS = ("round", "consensus_error", "dual_value", "messages")
 
@@ -41,9 +43,6 @@ class CommunicationGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(j for j in range(self.m) if j != i and self.laplacian[i, j] != 0.0)
-
 
 def graph_laplacian(m: int, edges) -> CommunicationGraph:
     """Build the Laplacian (degree minus adjacency) and check connectivity."""
@@ -57,18 +56,20 @@ def graph_laplacian(m: int, edges) -> CommunicationGraph:
             raise DomainError(f"self-loop at node {i}")
         canonical.add((min(i, j), max(i, j)))
     W = np.zeros((m, m))
+    adjacency = [[] for _ in range(m)]
     for i, j in canonical:
         W[i, j] = W[j, i] = -1.0
         W[i, i] += 1.0
         W[j, j] += 1.0
+        adjacency[i].append(j)
+        adjacency[j].append(i)
 
     # BFS connectivity; a disconnected graph has no consensus subspace.
     seen = {0}
     frontier = [0]
     while frontier:
-        i = frontier.pop()
-        for j in range(m):
-            if W[i, j] == -1.0 and j not in seen:
+        for j in adjacency[frontier.pop()]:
+            if j not in seen:
                 seen.add(j)
                 frontier.append(j)
     if len(seen) != m:
@@ -87,14 +88,18 @@ def condition_number(graph: CommunicationGraph) -> float:
 
 
 @dataclass(frozen=True)
-class NodeState:
-    """Per-node view: local measure, dual block, and marginal estimate."""
+class NetworkState:
+    """Every node after ``round_index`` rounds: row i of the (m, n) arrays
+    P, U and Q is node i's measure, dual block and marginal estimate."""
 
-    node_id: int
-    p_local: DiscreteMeasure
-    u_local: np.ndarray
-    q_local: DiscreteMeasure
+    P: np.ndarray
+    U: np.ndarray
+    Q: np.ndarray
     round_index: int = 0
+
+    def __post_init__(self):
+        if not (np.ndim(self.P) == 2 and np.shape(self.P) == np.shape(self.U) == np.shape(self.Q)):
+            raise DomainError("P, U and Q must be (m, n) arrays of one shape")
 
 
 @dataclass(frozen=True)
@@ -138,103 +143,112 @@ def softmax_column(u, C, gamma: float, xi: int) -> np.ndarray:
     return e / e.sum()
 
 
-def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) -> np.ndarray:
-    """One-sample estimate of the conjugate gradient.
+def sample_columns(P, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Column indices of every node's draws, an (m, batch) integer array:
+    node i draws j with probability P[i, j] / sum(P[i]).
 
-    Draws a column index with probability p_j and returns that column's
-    softmax; averaging over the draw reproduces ``fenchel_dual_gradient``
-    exactly.  Each draw recomputes its O(n) softmax afresh.
+    Inverse-CDF sampling on one ``rng.random((m, batch))`` block.  It is
+    the formula of ``Generator.choice(n, p=...)`` and takes the uniforms
+    in the order of node-by-node, draw-by-draw ``choice`` calls, so a
+    seeded run draws the same indices as those calls would.
     """
-    p = as_weights(p)
-    if np.any(p <= 0):
+    cdf = np.cumsum(P / P.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    uniform = rng.random((P.shape[0], batch))
+    return np.stack([np.searchsorted(c, x, side="right") for c, x in zip(cdf, uniform)])
+
+
+def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
+                              batch: int = 1) -> np.ndarray:
+    """Batch-mean estimates of the conjugate gradients of all m nodes.
+
+    Node i draws ``batch`` column indices xi with probability P[i, xi]
+    and averages the softmax columns (u_i - C[:, xi]) / gamma, all in one
+    (m, batch, n) pass; in expectation each row is the
+    ``fenchel_dual_gradients`` row.
+    """
+    U = np.asarray(U, dtype=float)
+    P = np.asarray(P, dtype=float)
+    if np.any(P <= 0):
         raise DomainError("measure must be strictly positive")
-    xi = int(rng.choice(p.size, p=p / p.sum()))
-    return softmax_column(u, C, gamma, xi)
+    xi = sample_columns(P, batch, rng)
+    Z = U[:, None, :] - as_matrix(C).T[xi]
+    Z /= gamma  # [i, b]: (u_i - C[:, xi_ib]) / gamma
+    return softmax(Z).mean(axis=1)
 
 
-def _gradient_estimate(u, p, C, gamma, config, rng) -> np.ndarray:
-    if not config.stochastic:
-        return fenchel_dual_gradient(u, p, C, gamma)
-    draws = [
-        stochastic_dual_gradient(u, p, C, gamma, rng) for _ in range(config.batch)
-    ]
-    return np.mean(draws, axis=0)
+def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) -> np.ndarray:
+    """One-sample estimate of the conjugate gradient: the softmax column of
+    an index drawn with probability p_j.  Averaging over the draw
+    reproduces ``fenchel_dual_gradient`` exactly.  The m = 1, batch 1 case
+    of ``stochastic_dual_gradients``."""
+    return stochastic_dual_gradients(as_weights(u)[None], as_weights(p)[None], C, gamma, rng)[0]
+
+
+def _gradient_estimates(U, P, C, gamma, config, rng) -> np.ndarray:
+    if config is None or not config.stochastic:
+        return fenchel_dual_gradients(U, P, C, gamma)
+    return stochastic_dual_gradients(U, P, C, gamma, rng, config.batch)
+
+
+def initial_state(P, C, gamma: float, config: SimConfig | None = None,
+                  rng: np.random.Generator | None = None) -> NetworkState:
+    """Zero dual start: U = 0 and Q the gradient estimate there (the full
+    gradient unless ``config`` is stochastic, in which case it draws from
+    ``rng``)."""
+    P = np.asarray(P, dtype=float)
+    U = np.zeros_like(P)
+    return NetworkState(P=P, U=U, Q=_gradient_estimates(U, P, C, gamma, config, rng))
 
 
 def decentralized_dual_step(
-    states: list[NodeState],
+    state: NetworkState,
     graph: CommunicationGraph,
     C,
     gamma: float,
     step_L: float,
     config: SimConfig | None = None,
     rng: np.random.Generator | None = None,
-    fetch=None,
-) -> list[NodeState]:
-    """One synchronous round of the decentralized dual gradient method.
+    mix=None,
+) -> NetworkState:
+    """One synchronous round of the decentralized dual gradient method:
+    U <- U - (W @ Q) / L, then Q <- the gradient estimate at the new U.
 
-    Every node reads only its own state and, through ``fetch(i, j)``, the
-    q estimates of its graph neighbors (the only indices with a nonzero
-    Laplacian entry); all reads target the previous-round snapshot.  The
-    ``fetch`` hook exists so tests can log and assert the access pattern.
+    The previous round's estimates reach other nodes only through
+    ``mix(W, Q)``, which returns W @ Q; row i of the Laplacian W is
+    nonzero only at i and its graph neighbors.  The hook exists so tests
+    can check, every round, which operator is applied and to what.
     """
-    if len(states) != graph.m:
-        raise DomainError("one state per graph node required")
-    rounds = {st.round_index for st in states}
-    if len(rounds) != 1:
-        raise ProtocolError(f"nodes disagree on the round index: {sorted(rounds)}")
-    for i, st in enumerate(states):
-        if st.node_id != i:
-            raise ProtocolError("states must be ordered by node id")
-    if fetch is None:
-        fetch = lambda i, j: states[j].q_local.weights
-    if config is None:
-        config = SimConfig(gamma=gamma, rounds=0)
-    if rng is None:
+    if state.U.shape[0] != graph.m:
+        raise DomainError("one state row per graph node required")
+    if rng is None and config is not None and config.stochastic:
         rng = np.random.default_rng(config.seed)
-
-    W = graph.laplacian
-    C = as_matrix(C)
-    new_states = []
-    for st in states:
-        i = st.node_id
-        mix = W[i, i] * st.q_local.weights
-        for j in graph.neighbors(i):
-            mix = mix + W[i, j] * np.asarray(fetch(i, j), float)
-        u_new = st.u_local - mix / step_L
-        q_new = _gradient_estimate(u_new, st.p_local.weights, C, gamma, config, rng)
-        new_states.append(
-            NodeState(
-                node_id=i,
-                p_local=st.p_local,
-                u_local=u_new,
-                q_local=DiscreteMeasure(q_new),
-                round_index=st.round_index + 1,
-            )
-        )
-    return new_states
+    if mix is None:
+        mix = np.matmul
+    U = state.U - mix(graph.laplacian, state.Q) / step_L
+    Q = _gradient_estimates(U, state.P, C, gamma, config, rng)
+    return NetworkState(P=state.P, U=U, Q=Q, round_index=state.round_index + 1)
 
 
-def consensus_error(states: list[NodeState]) -> float:
-    """Largest pairwise l1 distance between the nodes' marginal estimates."""
-    worst = 0.0
-    for a in range(len(states)):
-        for b in range(a + 1, len(states)):
-            d = float(np.abs(states[a].q_local.weights - states[b].q_local.weights).sum())
-            worst = max(worst, d)
-    return worst
+def consensus_error(Q) -> float:
+    """Largest pairwise l1 distance between the rows (node estimates) of Q."""
+    Q = np.asarray(Q, dtype=float)
+    return float(np.abs(Q[:, None, :] - Q[None, :, :]).sum(axis=2).max())
 
 
 def simulate_decentralized_barycenter(
-    measures, C, graph: CommunicationGraph, config: SimConfig, fetch=None,
+    measures, C, graph: CommunicationGraph, config: SimConfig, mix=None,
     trace: list | None = None,
 ) -> tuple[list[DiscreteMeasure], SolveReport]:
     """Run the round-based simulation from the zero dual start.
 
     Reports the per-round consensus error, the dual value
     (1/m) sum_i conjugate(u_i), and the cumulative message count
-    (one message per edge per round).  Output is a pure function of
-    (inputs, seed): nodes execute in id order within each round.
+    (one message per edge per round), and counts in
+    ``extras["gradient_evals"]`` the per-node gradient evaluations: m per
+    full round, m * batch per stochastic round, the start included.
+    Output is a pure function of (inputs, seed): draws are taken node by
+    node, in id order, within each round.
     """
     ms = [m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float)) for m in measures]
     if len(ms) != graph.m:
@@ -243,47 +257,32 @@ def simulate_decentralized_barycenter(
     gamma = config.gamma
     step_L = config.step_L if config.step_L is not None else default_step_constant(graph, gamma)
     rng = np.random.default_rng(config.seed)
-
-    states = [
-        NodeState(
-            node_id=i,
-            p_local=ms[i],
-            u_local=np.zeros(ms[i].n),
-            q_local=DiscreteMeasure(
-                _gradient_estimate(np.zeros(ms[i].n), ms[i].weights, C.entries, gamma, config, rng)
-            ),
-        )
-        for i in range(graph.m)
-    ]
+    state = initial_state(np.stack([mu.weights for mu in ms]), C.entries, gamma, config, rng)
 
     def dual_value() -> float:
-        return float(
-            np.mean(
-                [fenchel_dual_ot(st.u_local, st.p_local.weights, C.entries, gamma) for st in states]
-            )
-        )
+        return float(np.mean(fenchel_dual_values(state.U, state.P, C.entries, gamma)))
 
     messages = 0
     for rnd in range(1, config.rounds + 1):
-        states = decentralized_dual_step(
-            states, graph, C.entries, gamma, step_L, config=config, rng=rng, fetch=fetch
+        state = decentralized_dual_step(
+            state, graph, C.entries, gamma, step_L, config=config, rng=rng, mix=mix
         )
         messages += graph.edge_count
         if trace is not None:
             trace.append(
                 {
                     "round": rnd,
-                    "consensus_error": consensus_error(states),
+                    "consensus_error": consensus_error(state.Q),
                     "dual_value": dual_value(),
                     "messages": messages,
                 }
             )
 
-    final_consensus = consensus_error(states)
+    evals_per_round = graph.m * (config.batch if config.stochastic else 1)
     report = SolveReport(
         objective=dual_value(),
         iterations=config.rounds,
-        certificate=final_consensus,
+        certificate=consensus_error(state.Q),
         params={
             "gamma": gamma,
             "step_L": step_L,
@@ -294,6 +293,6 @@ def simulate_decentralized_barycenter(
         seed=config.seed,
         trace=trace,
         trace_columns=TRACE_COLUMNS,
-        extras={"messages": messages},
+        extras={"messages": messages, "gradient_evals": evals_per_round * (config.rounds + 1)},
     )
-    return [st.q_local for st in states], report
+    return [DiscreteMeasure(q) for q in state.Q], report

@@ -385,43 +385,46 @@ def criterion_7() -> CriterionResult:
     for name, edges in graphs.items():
         graph = decentralized.graph_laplacian(4, edges)
         step_L = decentralized.default_step_constant(graph, gamma)
-        states = [
-            decentralized.NodeState(
-                node_id=i,
-                p_local=measures[i],
-                u_local=np.zeros(8),
-                q_local=DiscreteMeasure(
-                    barycenter.fenchel_dual_gradient(np.zeros(8), measures[i].weights, C, gamma)
-                ),
-            )
-            for i in range(4)
-        ]
-        allowed = {(i, j) for i, j in graph.edges} | {(j, i) for i, j in graph.edges}
-        bad_access = []
+        state = decentralized.initial_state(np.stack([mu.weights for mu in measures]), C, gamma)
+        # Locality: the round's only cross-node read is mix(W, Q).  Every
+        # round, W must be the graph's Laplacian with off-diagonal support
+        # exactly the edge set in both directions, Q the previous round's
+        # estimates, and the dual update exactly U - (W Q) / L.
+        support = np.zeros((4, 4), dtype=bool)
+        for i, j in graph.edges:
+            support[i, j] = support[j, i] = True
+        off_diagonal = ~np.eye(4, dtype=bool)
+        bad_rounds = []
         max_drift = 0.0
-        for _ in range(DECENTRALIZED_ROUNDS):
-            snapshot = states
+        for rnd in range(DECENTRALIZED_ROUNDS):
+            applied = []
 
-            def fetch(i, j, _snap=snapshot):
-                if (i, j) not in allowed:
-                    bad_access.append((i, j))
-                return _snap[j].q_local.weights
+            def mix(W, Q, _applied=applied):
+                _applied.append((W, Q, W @ Q))
+                return _applied[-1][2]
 
-            states = decentralized.decentralized_dual_step(
-                states, graph, C, gamma, step_L, fetch=fetch
-            )
-            drift = float(np.abs(np.sum([st.u_local for st in states], axis=0)).max())
-            max_drift = max(max_drift, drift)
-        if bad_access:
-            failures.append(f"{name}: non-neighbor reads {sorted(set(bad_access))[:4]}")
+            new = decentralized.decentralized_dual_step(state, graph, C, gamma, step_L, mix=mix)
+            local = len(applied) == 1
+            if local:
+                W, Q, WQ = applied[0]
+                local = (
+                    np.array_equal(W, graph.laplacian)
+                    and np.array_equal((W != 0) & off_diagonal, support)
+                    and np.array_equal(Q, state.Q)
+                    and np.array_equal(new.U, state.U - WQ / step_L)
+                )
+            if not local:
+                bad_rounds.append(rnd)
+            state = new
+            max_drift = max(max_drift, float(np.abs(state.U.sum(axis=0)).max()))
+        if bad_rounds:
+            failures.append(f"{name}: locality check failed in rounds {bad_rounds[:4]}")
         if max_drift > 1e-12:
             failures.append(f"{name}: sum_i u_i drifted by {max_drift:.3e}")
-        cons = decentralized.consensus_error(states)
+        cons = decentralized.consensus_error(state.Q)
         if cons > 1e-3:
             failures.append(f"{name}: consensus error {cons:.3e} > 1e-3")
-        worst_q = max(
-            float(np.abs(st.q_local.weights - q_ref).sum()) for st in states
-        )
+        worst_q = float(np.abs(state.Q - q_ref).sum(axis=1).max())
         if worst_q > 5.0 * eps_solver:
             failures.append(
                 f"{name}: node marginal off centralized answer by {worst_q:.3e} "

@@ -2,17 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
-from otkit.barycenter import BarycenterProblem, fenchel_dual_gradient, ibp_solve
-from otkit.core import DiscreteMeasure, DomainError, ProtocolError
+from otkit.barycenter import (
+    BarycenterProblem,
+    fenchel_dual_gradient,
+    fenchel_dual_values,
+    ibp_solve,
+)
+from otkit.core import DiscreteMeasure, DomainError
 from otkit.decentralized import (
-    NodeState,
+    NetworkState,
     SimConfig,
     condition_number,
     consensus_error,
     decentralized_dual_step,
     default_step_constant,
     graph_laplacian,
+    initial_state,
+    sample_columns,
     simulate_decentralized_barycenter,
     softmax_column,
     stochastic_dual_gradient,
@@ -21,21 +29,53 @@ from conftest import random_measures
 
 K4_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 P4_EDGES = [(0, 1), (1, 2), (2, 3)]
+RING16_EDGES = [(i, (i + 1) % 16) for i in range(16)]
 
 
-def init_states(measures, C, gamma):
-    n = measures[0].n
-    return [
-        NodeState(
-            node_id=i,
-            p_local=measures[i],
-            u_local=np.zeros(n),
-            q_local=DiscreteMeasure(
-                fenchel_dual_gradient(np.zeros(n), measures[i].weights, C, gamma)
-            ),
-        )
-        for i in range(len(measures))
-    ]
+def init_state(measures, C, gamma):
+    return initial_state(np.stack([mu.weights for mu in measures]), C, gamma)
+
+
+# --- per-node reference: one node at a time, neighbors read through fetch ---
+
+def reference_gradient(u, p, C, gamma):
+    Z = (u[None, :] - np.asarray(C, float)) / gamma  # row j: (u_i - C_ji) / gamma
+    soft = np.exp(Z - logsumexp(Z, axis=1)[:, None])
+    return soft.T @ p
+
+
+def reference_estimate(u, p, C, gamma, config, rng):
+    if config is None or not config.stochastic:
+        return reference_gradient(u, p, C, gamma)
+    draws = []
+    for _ in range(config.batch):
+        xi = int(rng.choice(p.size, p=p / p.sum()))
+        draws.append(softmax_column(u, C, gamma, xi))
+    return np.mean(draws, axis=0)
+
+
+def reference_round(P, U, Q, graph, C, gamma, step_L, config=None, rng=None, accesses=None):
+    """Node i mixes its own estimate with its neighbors', each read through
+    fetch(i, j) from the previous round (logged into ``accesses``), then
+    refreshes its estimate; nodes run in id order and estimates are
+    renormalized measures."""
+
+    def fetch(i, j):
+        if accesses is not None:
+            accesses.add((i, j))
+        return Q[j]
+
+    W = graph.laplacian
+    U_new, Q_new = [], []
+    for i in range(graph.m):
+        mix = W[i, i] * Q[i]
+        for j in range(graph.m):
+            if j != i and W[i, j] != 0.0:
+                mix = mix + W[i, j] * np.asarray(fetch(i, j), float)
+        u = U[i] - mix / step_L
+        U_new.append(u)
+        Q_new.append(DiscreteMeasure(reference_estimate(u, P[i], C, gamma, config, rng)).weights)
+    return np.array(U_new), np.array(Q_new)
 
 
 class TestGraphLaplacian:
@@ -89,72 +129,107 @@ class TestDualStep:
         same = [measures[0]] * 3
         gamma = 0.2 * C.inf_norm
         graph = graph_laplacian(3, [(0, 1), (1, 2)])
-        states = init_states(same, C, gamma)
-        out = decentralized_dual_step(states, graph, C, gamma, step_L=10.0)
-        for before, after in zip(states, out):
-            assert np.array_equal(before.u_local, after.u_local)
+        state = init_state(same, C, gamma)
+        out = decentralized_dual_step(state, graph, C, gamma, step_L=10.0)
+        assert np.array_equal(state.U, out.U)
 
     def test_single_node_never_moves(self):
         C, measures = random_measures(81, 1, 4)
         gamma = 0.3
         graph = graph_laplacian(1, [])
-        states = init_states(measures, C, gamma)
+        state = init_state(measures, C, gamma)
         expected_q = fenchel_dual_gradient(np.zeros(4), measures[0].weights, C, gamma)
         for _ in range(5):
-            states = decentralized_dual_step(states, graph, C, gamma, step_L=1.0)
-        assert np.abs(states[0].u_local).max() == 0.0
-        assert np.allclose(states[0].q_local.weights, expected_q, atol=1e-14)
+            state = decentralized_dual_step(state, graph, C, gamma, step_L=1.0)
+        assert np.abs(state.U).max() == 0.0
+        assert np.allclose(state.Q[0], expected_q, atol=1e-14)
 
     def test_conservation_on_path(self):
         C, measures = random_measures(82, 2, 6)
         gamma = 0.2 * C.inf_norm
         graph = graph_laplacian(2, [(0, 1)])
         step_L = default_step_constant(graph, gamma)
-        states = init_states(measures, C, gamma)
+        state = init_state(measures, C, gamma)
         for _ in range(200):
-            states = decentralized_dual_step(states, graph, C, gamma, step_L)
-            total = np.sum([st.u_local for st in states], axis=0)
-            assert np.abs(total).max() <= 1e-12
+            state = decentralized_dual_step(state, graph, C, gamma, step_L)
+            assert np.abs(state.U.sum(axis=0)).max() <= 1e-12
 
-    def test_round_mismatch_raises(self):
+    def test_state_rows_must_match_graph(self):
         C, measures = random_measures(83, 2, 3)
-        graph = graph_laplacian(2, [(0, 1)])
-        states = init_states(measures, C, 0.3)
-        stale = [states[0], NodeState(1, states[1].p_local, states[1].u_local,
-                                      states[1].q_local, round_index=3)]
-        with pytest.raises(ProtocolError):
-            decentralized_dual_step(stale, graph, C, 0.3, step_L=1.0)
+        graph = graph_laplacian(3, [(0, 1), (1, 2)])
+        state = init_state(measures, C, 0.3)
+        with pytest.raises(DomainError):
+            decentralized_dual_step(state, graph, C, 0.3, step_L=1.0)
+        with pytest.raises(DomainError):
+            NetworkState(P=state.P, U=state.U[:, :2], Q=state.Q)
 
     def test_locality_only_neighbors_fetched(self):
         C, measures = random_measures(84, 4, 4)
         gamma = 0.2 * C.inf_norm
         graph = graph_laplacian(4, P4_EDGES)
-        states = init_states(measures, C, gamma)
-        accesses = []
+        state = init_state(measures, C, gamma)
+        applied = []
 
-        def fetch(i, j):
-            accesses.append((i, j))
-            return states[j].q_local.weights
+        def mix(W, Q):
+            applied.append((W, Q, W @ Q))
+            return applied[-1][2]
 
-        decentralized_dual_step(states, graph, C, gamma, step_L=5.0, fetch=fetch)
+        out = decentralized_dual_step(state, graph, C, gamma, step_L=5.0, mix=mix)
+        assert len(applied) == 1  # the operator is the round's only cross-node read
+        W, Q, WQ = applied[0]
+        off_diagonal = {(i, j) for i in range(4) for j in range(4) if i != j and W[i, j] != 0}
         allowed = {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}
-        assert set(accesses) <= allowed
-        assert set(accesses) == allowed  # every edge is used both ways
+        assert off_diagonal == allowed  # every edge is used both ways, nothing else
+        assert np.array_equal(W, graph.laplacian)
+        assert np.array_equal(Q, state.Q)  # the previous round's estimates
+        assert np.array_equal(out.U, state.U - WQ / 5.0)
 
     def test_consensus_at_fixpoint(self):
         C, measures = random_measures(85, 3, 5)
         gamma = 0.3 * C.inf_norm
         graph = graph_laplacian(3, [(0, 1), (0, 2), (1, 2)])
         step_L = default_step_constant(graph, gamma)
-        states = init_states(measures, C, gamma)
+        state = init_state(measures, C, gamma)
         for _ in range(6000):
-            prev = states
-            states = decentralized_dual_step(states, graph, C, gamma, step_L)
-        step_norm = max(
-            float(np.abs(a.u_local - b.u_local).max()) for a, b in zip(states, prev)
-        )
+            prev = state
+            state = decentralized_dual_step(state, graph, C, gamma, step_L)
+        step_norm = float(np.abs(state.U - prev.U).max())
         if step_norm < 1e-12:
-            assert consensus_error(states) <= 1e-10
+            assert consensus_error(state.Q) <= 1e-10
+
+
+class TestMatchesPerNodeReference:
+    """The array round against the per-node fetch loop, round by round."""
+
+    ROUNDS = 50
+
+    @pytest.mark.parametrize("m, edges, n", [(4, K4_EDGES, 8), (4, P4_EDGES, 8),
+                                             (16, RING16_EDGES, 10)])
+    @pytest.mark.parametrize("stochastic, batch", [(False, 1), (True, 1), (True, 16)])
+    def test_first_rounds(self, m, edges, n, stochastic, batch):
+        C, measures = random_measures(94, m, n)
+        gamma = 0.1 * C.inf_norm
+        graph = graph_laplacian(m, edges)
+        step_L = default_step_constant(graph, gamma)
+        config = SimConfig(gamma=gamma, rounds=self.ROUNDS, stochastic=stochastic,
+                           seed=3, batch=batch)
+        allowed = {(i, j) for i, j in graph.edges} | {(j, i) for i, j in graph.edges}
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        state = initial_state(np.stack([mu.weights for mu in measures]), C, gamma, config, rng)
+        P = state.P
+        U = np.zeros_like(P)
+        Q = np.array([reference_estimate(U[i], P[i], C, gamma, config, ref_rng)
+                      for i in range(m)])
+        assert np.abs(state.Q - Q).max() <= 1e-15
+        accesses = set()
+        for _ in range(self.ROUNDS):
+            state = decentralized_dual_step(state, graph, C, gamma, step_L,
+                                            config=config, rng=rng)
+            U, Q = reference_round(P, U, Q, graph, C, gamma, step_L, config, ref_rng, accesses)
+            assert np.abs(state.U - U).max() <= 1e-15
+            assert np.abs(state.Q - Q).max() <= 1e-15
+        assert accesses == allowed
+        assert state.round_index == self.ROUNDS
 
 
 class TestStochasticGradient:
@@ -196,6 +271,44 @@ class TestStochasticGradient:
                 np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("seed, m, n, batch", [(0, 4, 8, 1), (1, 16, 50, 16),
+                                                   (2, 3, 2, 7), (3, 5, 1, 3)])
+    def test_batched_draws_match_choice(self, seed, m, n, batch):
+        P = np.random.default_rng(100 + seed).uniform(0.05, 1.5, (m, n))
+        P /= P.sum(axis=1, keepdims=True)
+        rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # the streams stay in step across calls
+            expected = [[rng.choice(n, p=P[i] / P[i].sum()) for _ in range(batch)]
+                        for i in range(m)]
+            assert np.array_equal(sample_columns(P, batch, batched), expected)
+
+
+class TestArrayReductions:
+    @pytest.mark.parametrize("seed, m, n", [(0, 1, 5), (1, 4, 8), (2, 16, 50), (3, 7, 3)])
+    def test_consensus_error_is_largest_pairwise_l1(self, seed, m, n):
+        Q = np.random.default_rng(seed).dirichlet(np.ones(n), size=m)
+        worst = 0.0
+        for a in range(m):
+            for b in range(a + 1, m):
+                worst = max(worst, float(np.abs(Q[a] - Q[b]).sum()))
+        assert abs(consensus_error(Q) - worst) <= 1e-15
+
+    @pytest.mark.parametrize("seed, m, n", [(0, 1, 5), (1, 4, 8), (2, 16, 50), (3, 7, 3)])
+    def test_dual_value_is_per_node_mean(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        C, _ = random_measures(200 + seed, 1, n)
+        gamma = 0.1 * C.inf_norm
+        U = rng.normal(0.0, 0.05, (m, n))
+        P = rng.dirichlet(np.ones(n), size=m)
+        Cm = np.asarray(C.entries)
+        per_node = [
+            gamma * (p @ logsumexp((u[None, :] - Cm) / gamma, axis=1)) - gamma * (p @ np.log(p))
+            for u, p in zip(U, P)
+        ]
+        values = fenchel_dual_values(U, P, C, gamma)
+        assert np.abs(values - per_node).max() <= 1e-15
+        assert abs(float(np.mean(values)) - float(np.mean(per_node))) <= 1e-15
+
 
 class TestSimulation:
     def test_identical_measures_consensus_zero(self):
@@ -221,14 +334,27 @@ class TestSimulation:
         _, report = simulate_decentralized_barycenter(measures, C, graph, config)
         assert report.extras["messages"] == 7 * 3
 
+    def test_gradient_evals_accounting(self):
+        C, measures = random_measures(89, 4, 4)
+        graph = graph_laplacian(4, P4_EDGES)
+        full = SimConfig(gamma=0.3, rounds=7)
+        _, report = simulate_decentralized_barycenter(measures, C, graph, full)
+        assert report.extras["gradient_evals"] == 4 * (7 + 1)
+        sampled = SimConfig(gamma=0.3, rounds=7, stochastic=True, batch=5)
+        _, report = simulate_decentralized_barycenter(measures, C, graph, sampled)
+        assert report.extras["gradient_evals"] == 4 * 5 * (7 + 1)
+
     def test_deterministic_given_seed(self):
         C, measures = random_measures(90, 3, 4)
         graph = graph_laplacian(3, [(0, 1), (1, 2)])
         config = SimConfig(gamma=0.3, rounds=25, stochastic=True, seed=5, batch=2)
-        q1, _ = simulate_decentralized_barycenter(measures, C, graph, config)
-        q2, _ = simulate_decentralized_barycenter(measures, C, graph, config)
+        q1, r1 = simulate_decentralized_barycenter(measures, C, graph, config)
+        q2, r2 = simulate_decentralized_barycenter(measures, C, graph, config)
         for a, b in zip(q1, q2):
             assert np.array_equal(a.weights, b.weights)
+        assert r1.objective == r2.objective
+        assert r1.extras == r2.extras
+        assert r1.extras["gradient_evals"] == 3 * 2 * 26
 
     def test_matches_centralized_ibp(self):
         C, measures = random_measures(91, 4, 6)
@@ -252,14 +378,14 @@ class TestSimulation:
             config = SimConfig(
                 gamma=gamma, rounds=rounds, stochastic=stochastic, seed=7, batch=batch
             )
-            states = init_states(measures, C, gamma)
+            state = init_state(measures, C, gamma)
             step_L = default_step_constant(graph, gamma)
             rng = np.random.default_rng(config.seed)
             for _ in range(rounds):
-                states = decentralized_dual_step(
-                    states, graph, C, gamma, step_L, config=config, rng=rng
+                state = decentralized_dual_step(
+                    state, graph, C, gamma, step_L, config=config, rng=rng
                 )
-            return np.concatenate([st.u_local for st in states])
+            return state.U.ravel()
 
         reference = final_u(False, 1)
         distances = [
