@@ -528,7 +528,7 @@ def fenchel_dual_values(U, P, C, gamma: float) -> np.ndarray:
         raise DomainError("measure must be strictly positive")
     Z = U[:, None, :] - C
     Z /= gamma  # [k, j, i] = (u_ki - C_ji) / gamma
-    lse_rows = lse(Z, axis=2, overwrite=True)
+    lse_rows = lse(Z, axis=2)
     return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
 
 

@@ -279,25 +279,18 @@ def as_matrix(a) -> np.ndarray:
 # Operations
 # ---------------------------------------------------------------------------
 
-def lse(x, axis=None, overwrite: bool = False):
+def lse(x, axis=None):
     """Log of the sum of exponentials of ``x`` along ``axis`` (all entries
     by default), computed by subtracting the maximum.
 
     An all ``-inf`` slice reduces to ``-inf``, not NaN: its maximum is
-    replaced by 0 before the subtraction.  With ``overwrite``, ``x`` must
-    be a float array the caller no longer needs: it is shifted and
-    exponentiated in place instead of in a temporary of its size.
+    replaced by 0 before the subtraction.
     """
     x = np.asarray(x, dtype=float)
     top = np.max(x, axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
-    if overwrite:
-        x -= top
-        e = np.exp(x, out=x)
-    else:
-        e = np.exp(x - top)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(e, axis=axis, keepdims=True)) + top
+        out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
     return np.squeeze(out, axis=axis)[()]
 
 

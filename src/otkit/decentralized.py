@@ -218,6 +218,8 @@ def decentralized_dual_step(
     ``mix(W, Q)``, which returns W @ Q; row i of the Laplacian W is
     nonzero only at i and its graph neighbors.  The hook exists so tests
     can check, every round, which operator is applied and to what.
+    Raises ``DomainError`` in the first round whose estimates are not
+    finite (a diverging run, e.g. from a too small ``step_L``).
     """
     if state.U.shape[0] != graph.m:
         raise DomainError("one state row per graph node required")
@@ -227,6 +229,11 @@ def decentralized_dual_step(
         mix = np.matmul
     U = state.U - mix(graph.laplacian, state.Q) / step_L
     Q = _gradient_estimates(U, state.P, C, gamma, config, rng)
+    if not np.isfinite(Q).all():
+        raise DomainError(
+            f"marginal estimates are not finite in round {state.round_index + 1}; "
+            "the step 1/L is too large"
+        )
     return NetworkState(P=state.P, U=U, Q=Q, round_index=state.round_index + 1)
 
 

@@ -344,6 +344,18 @@ class TestSimulation:
         _, report = simulate_decentralized_barycenter(measures, C, graph, sampled)
         assert report.extras["gradient_evals"] == 4 * 5 * (7 + 1)
 
+    @pytest.mark.parametrize("stochastic, failing_round", [(False, 2), (True, 1)])
+    def test_divergence_raises_in_its_round(self, stochastic, failing_round):
+        C, measures = random_measures(89, 4, 4)
+        graph = graph_laplacian(4, P4_EDGES)
+        config = SimConfig(gamma=0.3, rounds=50, step_L=1e-308, stochastic=stochastic)
+        trace: list[dict] = []
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"round {failing_round};"):
+            simulate_decentralized_barycenter(measures, C, graph, config, trace=trace)
+        assert len(trace) == failing_round - 1
+        for row in trace:
+            assert np.isfinite(row["consensus_error"]) and np.isfinite(row["dual_value"])
+
     def test_deterministic_given_seed(self):
         C, measures = random_measures(90, 3, 4)
         graph = graph_laplacian(3, [(0, 1), (1, 2)])
