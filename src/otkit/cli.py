@@ -249,7 +249,7 @@ def _cmd_oracle(manifest: RunManifest) -> SolveReport:
             raise InputError(f"LP status {sol.status}")
         io.save_matrix(out / "plan.csv", sol.primal.reshape(p.n, p.n))
         return SolveReport(
-            objective=sol.objective, iterations=0, certificate=0.0,
+            objective=sol.objective, iterations=sol.pivots, certificate=0.0,
             params={"problem": "ot"},
         )
     C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))

@@ -133,11 +133,11 @@ def default_step_constant(graph: CommunicationGraph, gamma: float) -> float:
 
 
 def softmax_column(u, C, gamma: float, xi: int) -> np.ndarray:
-    """Softmax over l of (u_l - C_{l, xi}) / gamma: one term of the
+    """Softmax over l of (u_l - C_{xi, l}) / gamma: one term of the
     conjugate gradient's p-mixture."""
     u = as_weights(u)
     C = as_matrix(C)
-    z = (u - C[:, xi]) / gamma
+    z = (u - C[xi]) / gamma
     z = z - z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -163,7 +163,7 @@ def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
     """Batch-mean estimates of the conjugate gradients of all m nodes.
 
     Node i draws ``batch`` column indices xi with probability P[i, xi]
-    and averages the softmax columns (u_i - C[:, xi]) / gamma, all in one
+    and averages the softmax columns (u_i - C[xi]) / gamma, all in one
     (m, batch, n) pass; in expectation each row is the
     ``fenchel_dual_gradients`` row.
     """
@@ -172,8 +172,8 @@ def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
     if np.any(P <= 0):
         raise DomainError("measure must be strictly positive")
     xi = sample_columns(P, batch, rng)
-    Z = U[:, None, :] - as_matrix(C).T[xi]
-    Z /= gamma  # [i, b]: (u_i - C[:, xi_ib]) / gamma
+    Z = U[:, None, :] - as_matrix(C)[xi]
+    Z /= gamma  # [i, b]: (u_i - C[xi_ib]) / gamma
     return softmax(Z).mean(axis=1)
 
 

@@ -458,9 +458,18 @@ def criterion_8() -> CriterionResult:
         worst = max(worst, err)
         if err > 1e-12:
             failures.append(f"point {k}: enumeration mismatch {err:.2e}")
+    # An asymmetric cost: the draw must mix rows C[xi], as the gradient does.
+    asym = np.random.default_rng(0)
+    C = asym.uniform(0.0, 1.0, (5, 5))
+    p = asym.dirichlet(np.ones(5))
+    u = asym.normal(size=5)
+    mix = sum(p[xi] * decentralized.softmax_column(u, C, 0.5, xi) for xi in range(5))
+    err = float(np.abs(mix - barycenter.fenchel_dual_gradient(u, p, C, 0.5)).max())
+    if err > 1e-12:
+        failures.append(f"asymmetric cost: enumeration mismatch {err:.2e}")
     return _result(
         8, "stochastic-gradient-unbiased", start, failures,
-        f"20 points, worst mismatch {worst:.2e}",
+        f"20 points, worst mismatch {worst:.2e}; asymmetric cost {err:.2e}",
     )
 
 

@@ -173,7 +173,11 @@ class TestCommands:
             "--output-dir", str(out), "--quiet",
         ])
         assert code == 0
-        assert read_report(out)["objective"] == pytest.approx(0.3, abs=1e-10)
+        rep = read_report(out)
+        assert rep["objective"] == pytest.approx(0.3, abs=1e-10)
+        # the report's iterations are the LP's simplex pivots
+        sol = otkit.exact_ot_lp([[0.0, 1.0], [1.0, 0.0]], [0.3, 0.7], [0.6, 0.4])
+        assert rep["iterations"] == sol.pivots > 0
 
     def test_oracle_requires_problem_inputs(self, instance_dir, capsys):
         code = cli.main([

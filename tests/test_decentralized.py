@@ -242,6 +242,18 @@ class TestStochasticGradient:
         mix = sum(p[xi] * softmax_column(u, C, gamma, xi) for xi in range(6))
         assert np.abs(mix - fenchel_dual_gradient(u, p, C, gamma)).max() <= 1e-12
 
+    def test_asymmetric_cost_stays_unbiased(self):
+        # the full gradient mixes rows C[xi]; so must every draw
+        rng = np.random.default_rng(0)
+        C = rng.uniform(0.0, 1.0, (5, 5))
+        p = rng.dirichlet(np.ones(5))
+        u = rng.normal(size=5)
+        mix = sum(p[xi] * softmax_column(u, C, 0.5, xi) for xi in range(5))
+        assert np.abs(mix - fenchel_dual_gradient(u, p, C, 0.5)).max() <= 1e-12
+        xi = sample_columns(p[None], 1, np.random.default_rng(7))[0, 0]
+        g = stochastic_dual_gradient(u, p, C, 0.5, np.random.default_rng(7))
+        assert np.array_equal(g, softmax_column(u, C, 0.5, xi))
+
     def test_draw_is_a_softmax_column(self):
         C, measures = random_measures(87, 1, 5)
         p = measures[0].weights

@@ -9,10 +9,11 @@ from otkit.oracle import (
     exact_ot_lp,
     regularized_wb_grid,
     simplex_solve,
+    _run_simplex,
 )
 from otkit.rounding import round_to_polytope
 from otkit.sinkhorn import sinkhorn_solve
-from conftest import random_instance
+from conftest import random_instance, random_measures
 
 
 class TestSimplex:
@@ -44,6 +45,86 @@ class TestSimplex:
         sol = simplex_solve(c, A, b)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0)
+
+
+    def test_beale_cycling_lp(self):
+        # Beale's LP: Dantzig's rule with smallest-index ties cycles from the
+        # slack basis (x1, x2, x3); the optimum is -1/20.
+        c = np.array([0.0, 0.0, 0.0, -0.75, 150.0, -0.02, 6.0])
+        A = np.array([[1.0, 0.0, 0.0, 0.25, -60.0, -0.04, 9.0],
+                      [0.0, 1.0, 0.0, 0.5, -90.0, -0.02, 3.0],
+                      [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]])
+        b = np.array([0.0, 0.0, 1.0])
+        sol = simplex_solve(c, A, b)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(-0.05, abs=1e-12)
+        # from the cycling basis itself, with a budget pure Dantzig exhausts
+        T = np.zeros((4, 8))
+        T[:3, :7], T[:3, -1], T[-1, :7] = A, b, c
+        status, pivots = _run_simplex(T, np.arange(3), 7, max_pivots=100)
+        assert status == "optimal"
+        assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-12)
+
+    def test_pivot_count_repeats(self):
+        C, p, q = random_instance(77, 8)
+        counts = {simplex_solve(C.entries.ravel(), *_transport_constraints(p, q)).pivots
+                  for _ in range(2)}
+        assert len(counts) == 1 and counts.pop() > 0
+
+
+def _transport_constraints(p, q):
+    """Both marginal blocks of U(p, q), row-major plan variables."""
+    n = p.size
+    A = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))])
+    return A, np.concatenate([p, q])
+
+
+def _highs(c, A, b):
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _transport_instance(kind, n):
+    C, p, q = random_instance(500 + n, n)
+    if kind == "uniform":  # p = q: the diagonal plan is optimal and degenerate
+        p = q = np.full(n, 1.0 / n)
+    elif kind == "integer":  # many tied costs
+        U = np.random.default_rng(n).integers(0, 3, (n, n))
+        C = CostMatrix((U + U.T).astype(float))
+    return C, p, q
+
+
+class TestAgreesWithHighs:
+    @pytest.mark.parametrize("kind", ["random", "uniform", "integer"])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_transport(self, kind, n):
+        C, p, q = _transport_instance(kind, n)
+        sol = exact_ot_lp(C, p, q)
+        assert sol.status == "optimal"
+        assert abs(sol.objective - _highs(C.entries.ravel(), *_transport_constraints(p, q))) <= 1e-9
+        plan = sol.primal.reshape(n, n)
+        assert np.abs(plan.sum(axis=1) - p).max() <= 1e-9
+        assert np.abs(plan.sum(axis=0) - q).max() <= 1e-9
+        assert sol.reduced_costs.min() >= -1e-9
+        assert np.abs(sol.primal * sol.reduced_costs).max() <= 1e-9
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (6, 8)])
+    def test_barycenter(self, m, n):
+        C, measures = random_measures(600 + n, m, n)
+        ps = [mu.weights for mu in measures]
+        q_opt, val = exact_barycenter_lp(ps, C)
+        # plans (l, i, j) then q: row sums p_l, column sums q
+        A_plan, _ = _transport_constraints(np.zeros(n), np.zeros(n))
+        rows = np.kron(np.eye(m), A_plan)
+        q_cols = np.vstack([np.zeros((n, n)), -np.eye(n)])
+        A = np.hstack([rows, np.tile(q_cols, (m, 1))])
+        b = np.concatenate([np.concatenate([pl, np.zeros(n)]) for pl in ps])
+        cost = np.concatenate([np.tile(C.entries.ravel() / m, m), np.zeros(n)])
+        assert abs(val - _highs(cost, A, b)) <= 1e-9
+        assert q_opt.min() >= 0.0 and q_opt.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestExactOtLp:
@@ -92,6 +173,12 @@ class TestExactOtLp:
         plan = sol.primal.reshape(9, 9)
         assert np.abs(plan.sum(axis=1) - p).max() <= 1e-9
         assert np.abs(plan.sum(axis=0) - q).max() <= 1e-9
+
+    def test_pivot_count_below_bland(self):
+        # Bland's rule throughout took 2053 pivots on this instance
+        C, p, q = random_instance(0, 32)
+        first, second = exact_ot_lp(C, p, q), exact_ot_lp(C, p, q)
+        assert first.pivots == second.pivots < 2053
 
     def test_size_refusal(self):
         n = 33
