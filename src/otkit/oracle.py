@@ -75,9 +75,8 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
-                 max_pivots: int) -> tuple[str, int]:
-    """Pivot the tableau to optimality over its first ``ncols`` columns.
+def _run_simplex(T: np.ndarray, basis: np.ndarray, max_pivots: int) -> tuple[str, int]:
+    """Pivot the tableau [A | b; reduced costs | -objective] to optimality.
 
     Each pivot enters the column of most negative reduced cost (Dantzig)
     and leaves the row of minimum ratio, ties to the smallest basic index.
@@ -93,7 +92,7 @@ def _run_simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
     Returns the status and the number of pivots made.
     """
     for pivots in range(max_pivots):
-        obj_row = T[-1, :ncols]
+        obj_row = T[-1, :-1]
         col = int(np.argmin(obj_row))
         if obj_row[col] >= -PIVOT_TOL:
             return "optimal", pivots
@@ -139,7 +138,7 @@ def simplex_solve(c, A, b, max_pivots: int = 200_000) -> LpSolution:
     T[-1, :n] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
 
-    status, pivots = _run_simplex(T, basis, n, max_pivots)
+    status, pivots = _run_simplex(T, basis, max_pivots)
     if status != "optimal" or -T[-1, -1] > SOLUTION_TOL:
         return LpSolution(float("nan"), np.full(n, np.nan), "infeasible", pivots=pivots)
 
@@ -163,7 +162,7 @@ def simplex_solve(c, A, b, max_pivots: int = 200_000) -> LpSolution:
     T[-1, -1] = 0.0
     T[-1] -= c[basis] @ T[:-1]
 
-    status, phase2 = _run_simplex(T, basis, n, max_pivots)
+    status, phase2 = _run_simplex(T, basis, max_pivots)
     pivots += phase2
     if status == "unbounded":
         return LpSolution(float("-inf"), np.full(n, np.nan), "unbounded", pivots=pivots)

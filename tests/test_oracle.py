@@ -61,7 +61,7 @@ class TestSimplex:
         # from the cycling basis itself, with a budget pure Dantzig exhausts
         T = np.zeros((4, 8))
         T[:3, :7], T[:3, -1], T[-1, :7] = A, b, c
-        status, pivots = _run_simplex(T, np.arange(3), 7, max_pivots=100)
+        status, pivots = _run_simplex(T, np.arange(3), max_pivots=100)
         assert status == "optimal"
         assert -T[-1, -1] == pytest.approx(-0.05, abs=1e-12)
 
