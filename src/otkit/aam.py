@@ -3,8 +3,11 @@
 The gradient step of an accelerated scheme is replaced by exact
 minimization over the u or v block (whichever has the larger partial
 gradient), while a weighted running average of the normalized couplings
-reconstructs the primal plan.  The end-to-end pipeline pairs this with
-marginal smoothing and polytope rounding.
+reconstructs the primal plan.  One engine, ``_aam_step``, runs the scheme
+on the stacked dual of m couplings: transport is m = 1, and the
+barycenter dual of ``barycenter.accelerated_ibp`` is the case without a q
+term.  The end-to-end pipeline pairs this with marginal smoothing and
+polytope rounding.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .core import (
     TransportPlan,
     as_matrix,
     as_weights,
-    lse,
     marginal_violation,
+    neg_entropy,
     reg_primal_objective,
     smooth_marginals,
     transport_cost,
@@ -51,8 +54,15 @@ LINE_SEARCH_WIDTH = 1e-14
 class AamState:
     """Iterate of the accelerated scheme on the stacked (u, v) space.
 
-    ``phi_eta`` is the dual value at eta (NaN before the first iteration)
-    and ``line_search_evals`` counts the line search's exp passes so far.
+    ``eta``, ``zeta`` and ``mu`` hold u and v side by side: (2n,) for
+    transport, (m, 2n) for m stacked couplings.  ``plan_avg`` is the
+    weighted average of the normalized couplings at mu, (n, n) or
+    (m, n, n).  ``phi_eta`` is the dual value at eta (NaN before the first
+    iteration), ``block`` the block ("u" or "v") the last exact step
+    minimized over.  ``line_search_evals`` counts the line search's exp
+    passes so far, ``absorptions`` the exact steps' kernel absorptions, and
+    ``exp_passes`` every n^2 exp pass: the start, the line search, one at
+    mu and one at eta per iteration, and two per absorption.
     """
 
     eta: np.ndarray
@@ -62,18 +72,22 @@ class AamState:
     plan_avg: np.ndarray
     iteration: int = 0
     phi_eta: float = math.nan
+    block: str = ""
     line_search_evals: int = 0
+    absorptions: int = 0
+    exp_passes: int = 1
 
     @classmethod
-    def initial(cls, C, gamma: float) -> "AamState":
-        n = as_matrix(C).shape[0]
-        zero = np.zeros(2 * n)
+    def initial(cls, C, gamma: float, m: int | None = None) -> "AamState":
+        """The origin, for transport (m None) or for m stacked couplings."""
+        log_kernel = -as_matrix(C) / gamma
+        n = log_kernel.shape[0]
+        zero = np.zeros((1 if m is None else m, n))
+        plans = _couplings(zero, zero, log_kernel)[0]
+        x = np.zeros((2 * n,) if m is None else (m, 2 * n))
         return cls(
-            eta=zero.copy(),
-            zeta=zero.copy(),
-            mu=zero.copy(),
-            A_big=0.0,
-            plan_avg=normalized_coupling(zero[:n], zero[n:], C, gamma),
+            eta=x, zeta=x.copy(), mu=x.copy(), A_big=0.0,
+            plan_avg=plans[0] if m is None else plans,
         )
 
 
@@ -102,11 +116,6 @@ class DistanceBound:
         )
 
 
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = x.size // 2
-    return x[:n], x[n:]
-
-
 def _unpack(pot) -> tuple[np.ndarray, np.ndarray]:
     if hasattr(pot, "u"):
         return np.asarray(pot.u, float), np.asarray(pot.v, float)
@@ -114,18 +123,54 @@ def _unpack(pot) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(u, float), np.asarray(v, float)
 
 
+def _exp_pass(u, v, log_kernel) -> tuple[np.ndarray, np.ndarray]:
+    """exp(u_l + v_l' + L - top_l) for every l, as a fresh (m, n, n) array
+    whose largest entry per coupling is 1, and the shifts top_l, as (m,)."""
+    B = u[:, :, None] + v[:, None, :]
+    B += log_kernel
+    top = B.max(axis=(1, 2))
+    B -= top[:, None, None]
+    np.exp(B, out=B)
+    return B, top
+
+
+def _couplings(u, v, log_kernel):
+    """Everything the stacked dual needs at (u, v), each (m, n), from one
+    exp pass: the normalized couplings pi_l = B_l / 1' B_l 1 as (m, n, n),
+    their row and column marginals as (m, n), and ln 1' B_l 1 as (m,)."""
+    pi, top = _exp_pass(u, v, log_kernel)
+    rows = pi.sum(axis=2)
+    mass = rows.sum(axis=1)
+    pi /= mass[:, None, None]
+    return pi, rows / mass[:, None], pi.sum(axis=1), np.log(mass) + top
+
+
+def _dual_value(u, v, log_kernel, scale: float, p, q=None, log_mass=None) -> float:
+    """Stacked smooth dual scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>)
+    with B_l = exp(u_l + v_l' + L), all arrays (m, n); no q term when q is
+    None.  Takes one exp pass unless ``log_mass`` (ln 1' B_l 1) is given."""
+    if log_mass is None:
+        B, top = _exp_pass(u, v, log_kernel)
+        log_mass = np.log(B.sum(axis=(1, 2))) + top
+    value = log_mass - (u * p).sum(axis=1)
+    if q is not None:
+        value -= (v * q).sum(axis=1)
+    return scale * float(value.sum())
+
+
 def dual_objective_lip(pot, C, gamma: float, p, q) -> float:
     """Smooth dual value gamma * (ln(1' B(u,v) 1) - <u, p> - <v, q>).
 
     Invariant under adding constants to u or v; evaluates to
-    2 * gamma * ln n at the origin when C = 0.
+    2 * gamma * ln n at the origin when C = 0.  The m = 1 view of the
+    stacked dual the AAM engine evaluates.
     """
     u, v = _unpack(pot)
     if not (gamma > 0):
         raise ParameterError("gamma must be positive")
-    logB = u[:, None] + v[None, :] - as_matrix(C) / gamma
-    total = float(lse(logB.ravel()))
-    return gamma * (total - float(u @ as_weights(p)) - float(v @ as_weights(q)))
+    return _dual_value(
+        u[None], v[None], -as_matrix(C) / gamma, gamma, as_weights(p)[None], as_weights(q)[None]
+    )
 
 
 def dual_partial_gradients(pot, C, gamma: float, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -137,19 +182,14 @@ def dual_partial_gradients(pot, C, gamma: float, p, q) -> tuple[np.ndarray, np.n
     differences.)
     """
     u, v = _unpack(pot)
-    logB = u[:, None] + v[None, :] - as_matrix(C) / gamma
-    log_rows = lse(logB, axis=1)
-    log_cols = lse(logB, axis=0)
-    total = lse(log_rows)
-    row_m = np.exp(log_rows - total)
-    col_m = np.exp(log_cols - total)
-    return gamma * (row_m - as_weights(p)), gamma * (col_m - as_weights(q))
+    _, rows, cols, _ = _couplings(u[None], v[None], -as_matrix(C) / gamma)
+    return gamma * (rows[0] - as_weights(p)), gamma * (cols[0] - as_weights(q))
 
 
 def normalized_coupling(u, v, C, gamma: float) -> np.ndarray:
     """Unit-mass coupling B(u, v) / (1' B(u, v) 1), computed stably."""
-    logB = np.asarray(u, float)[:, None] + np.asarray(v, float)[None, :] - as_matrix(C) / gamma
-    return np.exp(logB - lse(logB.ravel()))
+    u, v = _unpack((u, v))
+    return _couplings(u[None], v[None], -as_matrix(C) / gamma)[0][0]
 
 
 def _slope_and_curvature(log_kernel, u, v, du, dv, scale, p, q, beta) -> tuple[float, float]:
@@ -242,74 +282,100 @@ def newton_line_search(log_kernel, u, v, du, dv, scale: float, p, q=None) -> tup
     return 0.5 * (lo + hi), evals
 
 
-def _shift_blocks(x: np.ndarray) -> np.ndarray:
-    """Shift each block so its largest entry is 0.
+def _shift_blocks(x: np.ndarray, n: int, v_too: bool) -> np.ndarray:
+    """Shift each u_l (and each v_l when ``v_too``) so its largest entry is 0.
 
-    The dual value, its gradients and the normalized coupling are all
-    invariant under per-block constant shifts; pinning the max at 0 keeps
-    every exponential bounded by 1 and is idempotent, so repeated
-    normalization cannot drift the gauge.
+    The dual value, its gradients and the normalized couplings are all
+    invariant under these shifts (a v_l shift only when the dual has its
+    <v_l, q_l> term); pinning the max at 0 keeps every exponential bounded
+    by 1 and is idempotent, so repeated normalization cannot drift the
+    gauge.
     """
-    u, v = _split(x)
-    return np.concatenate([u - u.max(), v - v.max()])
+    x = x.copy()
+    x[:, :n] -= x[:, :n].max(axis=1)[:, None]
+    if v_too:
+        x[:, n:] -= x[:, n:].max(axis=1)[:, None]
+    return x
 
 
-def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = True) -> AamState:
-    """One full iteration of the accelerated alternating minimization.
+def _dual_at(u, v, log_kernel, scale: float, p, q=None):
+    """The stacked dual at (u, v) from one exp pass: its value, both
+    gradient blocks (the v block projected onto sum_l v_l = 0 when q is
+    None), the normalized couplings and ln 1' B_l 1."""
+    pi, rows, cols, log_mass = _couplings(u, v, log_kernel)
+    phi = _dual_value(u, v, log_kernel, scale, p, q, log_mass)
+    gu = scale * (rows - p)
+    gv = scale * (cols - (cols.mean(axis=0) if q is None else q))
+    return phi, gu, gv, pi, log_mass
 
-    Line-searches the mixing weight on [0, 1], picks the block with the
-    larger partial gradient, minimizes the dual exactly over it, solves
-    the step-size quadratic, updates the momentum point, and folds the
-    normalized coupling at mu into the primal average.
+
+def _aam_step(
+    state: AamState, log_kernel, scale: float, p, q=None, shift_normalize: bool = True
+) -> AamState:
+    """One iteration of accelerated alternating minimization on the stacked
+    smooth dual scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>).
+
+    Transport is m = 1 with a fixed q.  With q None (the barycenter dual,
+    constrained to sum_l v_l = 0) the v-gradient is projected onto the
+    zero-sum subspace, which both exact block steps keep, and v is never
+    shifted.  Line-searches the mixing weight on [0, 1], then takes one exp
+    pass at mu (``_dual_at``) for the gradient blocks, phi(mu), the
+    normalized couplings and the scaling kernel of the exact step over the
+    block with the larger gradient; solves the step-size quadratic,
+    updates the momentum point, and folds the couplings at mu into the
+    primal average.  phi at the new eta takes one more pass, through
+    ``_dual_value``.
     """
-    C = as_matrix(C)
-    p = as_weights(p)
-    q = as_weights(q)
-
-    def phi(x: np.ndarray) -> float:
-        return dual_objective_lip(_split(x), C, gamma, p, q)
-
-    eta, zeta = state.eta, state.zeta
+    m, n = p.shape
+    eta, zeta = state.eta.reshape(m, 2 * n), state.zeta.reshape(m, 2 * n)
     evals = 0
     if np.array_equal(eta, zeta):
         mu = eta.copy()
     else:
-        (eta_u, eta_v), (du, dv) = _split(eta), _split(zeta - eta)
+        d = zeta - eta
         beta, evals = newton_line_search(
-            -C / gamma, eta_u[None], eta_v[None], du[None], dv[None], gamma, p[None], q[None]
+            log_kernel, eta[:, :n], eta[:, n:], d[:, :n], d[:, n:], scale, p, q
         )
         mu = beta * zeta + (1.0 - beta) * eta
     if shift_normalize:
-        mu = _shift_blocks(mu)
+        mu = _shift_blocks(mu, n, q is not None)
 
-    mu_u, mu_v = _split(mu)
-    gu, gv = dual_partial_gradients((mu_u, mu_v), C, gamma, p, q)
-    grad = np.concatenate([gu, gv])
-    gsq = float(grad @ grad)
-    phi_mu = phi(mu)
+    mu_u, mu_v = mu[:, :n], mu[:, n:]
+    phi_mu, gu, gv, pi_mu, log_mass = _dual_at(mu_u, mu_v, log_kernel, scale, p, q)
     if not math.isfinite(phi_mu):
         raise NumericalError(f"dual value not finite at mu (iteration {state.iteration})")
+    gu_sq, gv_sq = float((gu * gu).sum()), float((gv * gv).sum())
+    gsq = gu_sq + gv_sq
 
-    rows = float(gu @ gu) >= float(gv @ gv)
-    kernel = ScalingKernel.start(-C / gamma, mu_u[None], mu_v[None])
-    kernel = kernel.half_step(rows, (p if rows else q)[None])
-    eta_new = np.concatenate(kernel.potentials(), axis=1)[0]
-    phi_eta_new = phi(eta_new)
+    # The couplings at mu are the kernel of the exact step once ln 1' B_l 1
+    # is absorbed into the block the step recomputes.
+    rows = gu_sq >= gv_sq
+    absorbed = log_mass[:, None]
+    u, v = (mu_u - absorbed, mu_v) if rows else (mu_u, mu_v - absorbed)
+    kernel = ScalingKernel.start(log_kernel, u, v, K=pi_mu)
+    kernel = kernel.half_step(rows, p if rows else q)
+    eta_u, eta_v = kernel.potentials()
+    phi_eta_new = _dual_value(eta_u, eta_v, log_kernel, scale, p, q)
 
+    shape = state.eta.shape
     A = state.A_big
-    pi_mu = normalized_coupling(mu_u, mu_v, C, gamma)
+    common = dict(
+        eta=np.concatenate([eta_u, eta_v], axis=1).reshape(shape),
+        mu=mu.reshape(shape),
+        iteration=state.iteration + 1,
+        phi_eta=phi_eta_new,
+        block="u" if rows else "v",
+        line_search_evals=state.line_search_evals + evals,
+        absorptions=state.absorptions + kernel.absorptions,
+        exp_passes=state.exp_passes + evals + 2 + 2 * kernel.absorptions,
+    )
+    pi_mu = pi_mu.reshape(state.plan_avg.shape)
     if gsq <= 0.0:
         # Stationary momentum point: the averaging weight is degenerate and
         # the coupling at mu is already optimal.
         return AamState(
-            eta=eta_new,
-            zeta=zeta.copy(),
-            mu=mu,
-            A_big=A,
-            plan_avg=pi_mu if A == 0.0 else state.plan_avg,
-            iteration=state.iteration + 1,
-            phi_eta=phi_eta_new,
-            line_search_evals=state.line_search_evals + evals,
+            zeta=state.zeta.copy(), A_big=A,
+            plan_avg=pi_mu if A == 0.0 else state.plan_avg, **common,
         )
 
     # Positive root of a^2 ||g||^2 - 2 delta a - 2 delta A = 0 with
@@ -318,20 +384,20 @@ def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = 
     a = (delta + math.sqrt(delta * delta + 2.0 * delta * A * gsq)) / gsq
     A_new = A + a
 
-    zeta_new = zeta - a * grad
+    zeta_new = zeta - a * np.concatenate([gu, gv], axis=1)
     if shift_normalize:
-        zeta_new = _shift_blocks(zeta_new)
+        zeta_new = _shift_blocks(zeta_new, n, q is not None)
 
     plan_avg = pi_mu if A_new == 0.0 else (a * pi_mu + A * state.plan_avg) / A_new
-    return AamState(
-        eta=eta_new,
-        zeta=zeta_new,
-        mu=mu,
-        A_big=A_new,
-        plan_avg=plan_avg,
-        iteration=state.iteration + 1,
-        phi_eta=phi_eta_new,
-        line_search_evals=state.line_search_evals + evals,
+    return AamState(zeta=zeta_new.reshape(shape), A_big=A_new, plan_avg=plan_avg, **common)
+
+
+def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = True) -> AamState:
+    """One full iteration of the accelerated alternating minimization: the
+    m = 1 view of the stacked engine, with (2n,) iterates."""
+    C = as_matrix(C)
+    return _aam_step(
+        state, -C / gamma, gamma, as_weights(p)[None], as_weights(q)[None], shift_normalize
     )
 
 
@@ -388,6 +454,8 @@ def aam_solve(
                     "upper_bound": reg_primal_objective(feasible.entries, C, gamma),
                     "coupling_violation": marginal_violation(pi_eta, p, q),
                     "line_search_evals": state.line_search_evals,
+                    # The engine's passes and one per check, at eta.
+                    "exp_passes": state.exp_passes + state.iteration // check_every,
                 },
             )
             return state, report
@@ -455,9 +523,11 @@ def accelerated_ot(
     for _ in range(max_iter):
         state = aam_iterate(state, C, gamma, ps, qs)
         plan_hat = round_to_polytope(state.plan_avg, p, q)
-        cost_gap = transport_cost(plan_hat.entries, C) - transport_cost(state.plan_avg, C)
+        hat_cost = transport_cost(plan_hat.entries, C)
+        avg_cost = transport_cost(state.plan_avg, C)
+        cost_gap = hat_cost - avg_cost
         phi_eta = state.phi_eta
-        primal = reg_primal_objective(state.plan_avg, C, gamma)
+        primal = avg_cost + gamma * neg_entropy(state.plan_avg)
         gap = primal + phi_eta
         if trace is not None:
             trace.append(
@@ -465,7 +535,7 @@ def accelerated_ot(
             )
         if cost_gap <= eps / 6.0 and gap <= eps / 6.0:
             report = SolveReport(
-                objective=transport_cost(plan_hat.entries, C),
+                objective=hat_cost,
                 iterations=state.iteration,
                 certificate=max(gap, 0.0) + max(cost_gap, 0.0),
                 params={
@@ -482,6 +552,7 @@ def accelerated_ot(
                     "duality_gap": gap,
                     "rounding_cost_gap": cost_gap,
                     "line_search_evals": state.line_search_evals,
+                    "exp_passes": state.exp_passes,
                 },
             )
             return plan_hat, report

@@ -30,7 +30,7 @@ from .core import (
     softmax,
     transport_cost,
 )
-from .aam import newton_line_search
+from .aam import AamState, _aam_step, _couplings, _dual_value, _unpack
 from .rounding import round_to_polytope
 from .sinkhorn import ScalingKernel, _require_positive, default_max_iter
 
@@ -258,12 +258,12 @@ def barycenter_ibp(
     masses = np.array([plan.sum() for plan in sol.plans])
     q_bar = np.sum([plan.sum(axis=0) for plan in sol.plans], axis=0) / masses.sum()
 
-    plans = [round_to_polytope(plan, m.weights, q_bar) for plan, m in zip(sol.plans, ms)]
-    objective = float(np.mean([transport_cost(p.entries, C) for p in plans]))
+    phi = wb_dual_objective(sol.state, problem)
+    plans, objective, _, gap, cost_gap = _round_with_gaps(sol.plans, ms, q_bar, C, used_gamma, phi)
     report = SolveReport(
         objective=objective,
         iterations=sol.state.iteration,
-        certificate=eps,
+        certificate=max(gap, 0.0) + max(cost_gap, 0.0),
         params={
             "gamma": used_gamma,
             "eps": eps,
@@ -276,24 +276,31 @@ def barycenter_ibp(
     return q_bar, plans, report
 
 
+def _round_with_gaps(plans, measures, q_bar, C, gamma: float, phi: float):
+    """Round each coupling onto U(p_l, q_bar) with the original p_l.
+
+    Returns the rounded plans, their mean cost, the mean regularized primal
+    value of the couplings, the duality gap (that value plus the dual value
+    ``phi``) and the mean rounding cost gap; the certificate is the sum of
+    the two gaps' positive parts.
+    """
+    rounded = [round_to_polytope(plan, m.weights, q_bar) for plan, m in zip(plans, measures)]
+    costs = [transport_cost(plan, C) for plan in plans]
+    rounded_costs = [transport_cost(r.entries, C) for r in rounded]
+    cost_gap = float(np.mean([r - c for r, c in zip(rounded_costs, costs)]))
+    primal = float(np.mean([c + gamma * neg_entropy(plan) for c, plan in zip(costs, plans)]))
+    return rounded, float(np.mean(rounded_costs)), primal, primal + phi, cost_gap
+
+
 # ---------------------------------------------------------------------------
 # Smooth dual with the zero-sum constraint, and its accelerated solver
 # ---------------------------------------------------------------------------
 
-def _unpack_state(state) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(state, "u"):
-        return np.asarray(state.u, float), np.asarray(state.v, float)
-    u, v = state
-    return np.asarray(u, float), np.asarray(v, float)
-
-
 def wb_dual_objective(state, problem: BarycenterProblem) -> float:
-    """Smooth barycenter dual (gamma/m) sum_l ( ln 1' B_l 1 - <u_l, p_l> )."""
-    u, v = _unpack_state(state)
-    logB = _log_couplings(u, v, problem.log_kernel)
-    totals = lse(logB.reshape(problem.m, -1), axis=1)
-    inner = (u * problem.measure_stack()).sum(axis=1)
-    return float(problem.gamma / problem.m * (totals - inner).sum())
+    """Smooth barycenter dual (gamma/m) sum_l ( ln 1' B_l 1 - <u_l, p_l> ):
+    the stacked dual of the AAM engine without its q term."""
+    u, v = _unpack(state)
+    return _dual_value(u, v, problem.log_kernel, problem.gamma / problem.m, problem.measure_stack())
 
 
 def wb_dual_gradients(state, problem: BarycenterProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -304,105 +311,10 @@ def wb_dual_gradients(state, problem: BarycenterProblem) -> tuple[np.ndarray, np
     zero-sum constraint on v is handled by projection at the solver
     level, so these match central finite differences directly.
     """
-    u, v = _unpack_state(state)
-    logB = _log_couplings(u, v, problem.log_kernel)
-    log_rows = lse(logB, axis=2)
-    log_cols = lse(logB, axis=1)
-    totals = lse(log_rows, axis=1)
-    row_m = np.exp(log_rows - totals[:, None])
-    col_m = np.exp(log_cols - totals[:, None])
+    u, v = _unpack(state)
+    _, rows, cols, _ = _couplings(u, v, problem.log_kernel)
     scale = problem.gamma / problem.m
-    return scale * (row_m - problem.measure_stack()), scale * col_m
-
-
-def _project_zero_sum(g: np.ndarray) -> np.ndarray:
-    """Project stacked v-gradients onto the subspace sum_l v_l = 0."""
-    return g - g.mean(axis=0)[None, :]
-
-
-def _normalized_couplings(u, v, logK) -> np.ndarray:
-    logB = _log_couplings(u, v, logK)
-    m = logB.shape[0]
-    totals = lse(logB.reshape(m, -1), axis=1)
-    return np.exp(logB - totals[:, None, None])
-
-
-@dataclass
-class _WbAamState:
-    eta_u: np.ndarray
-    eta_v: np.ndarray
-    zeta_u: np.ndarray
-    zeta_v: np.ndarray
-    A_big: float
-    plans_avg: np.ndarray  # (m, n, n)
-    iteration: int = 0
-    phi_eta: float = math.nan  # dual value at eta
-    line_search_evals: int = 0
-
-
-def _wb_aam_iterate(
-    st: _WbAamState, problem: BarycenterProblem, checks: list | None = None
-) -> _WbAamState:
-    """Accelerated alternating minimization step on the constrained dual.
-
-    Mirrors the transport case with two superblocks (all u vs all v); the
-    v-block gradient is projected onto the zero-sum subspace, which both
-    block-exact updates preserve.
-    """
-    logK = problem.log_kernel
-    p = problem.measure_stack()
-
-    def phi(u, v):
-        return wb_dual_objective((u, v), problem)
-
-    evals = 0
-    if np.array_equal(st.eta_u, st.zeta_u) and np.array_equal(st.eta_v, st.zeta_v):
-        mu_u, mu_v = st.eta_u.copy(), st.eta_v.copy()
-    else:
-        du, dv = st.zeta_u - st.eta_u, st.zeta_v - st.eta_v
-        beta, evals = newton_line_search(
-            logK, st.eta_u, st.eta_v, du, dv, problem.gamma / problem.m, p
-        )
-        mu_u = beta * st.zeta_u + (1.0 - beta) * st.eta_u
-        mu_v = beta * st.zeta_v + (1.0 - beta) * st.eta_v
-    # Per-measure shift of u is free (the <u_l, p_l> term compensates); the
-    # same max-at-zero gauge as the transport case.
-    mu_u = mu_u - mu_u.max(axis=1)[:, None]
-
-    gu, gv_raw = wb_dual_gradients((mu_u, mu_v), problem)
-    gv = _project_zero_sum(gv_raw)
-    gu_sq = float((gu * gu).sum())
-    gv_sq = float((gv * gv).sum())
-    gsq = gu_sq + gv_sq
-    phi_mu = phi(mu_u, mu_v)
-
-    rows = gu_sq >= gv_sq
-    kernel = ScalingKernel.start(logK, mu_u, mu_v)
-    eta_u_new, eta_v_new = kernel.half_step(rows, p if rows else None).potentials()
-    if checks is not None:
-        new_state = WbDualState(eta_u_new, eta_v_new, st.iteration + 1)
-        checks.append(_ibp_check_row(new_state, problem, kind="u" if rows else "v"))
-    phi_eta_new = phi(eta_u_new, eta_v_new)
-
-    A = st.A_big
-    plans_mu = _normalized_couplings(mu_u, mu_v, logK)
-    if gsq <= 0.0:
-        return _WbAamState(
-            eta_u_new, eta_v_new, st.zeta_u.copy(), st.zeta_v.copy(), A,
-            plans_mu if A == 0.0 else st.plans_avg, st.iteration + 1,
-            phi_eta_new, st.line_search_evals + evals,
-        )
-
-    delta = max(phi_mu - phi_eta_new, 0.0)
-    a = (delta + math.sqrt(delta * delta + 2.0 * delta * A * gsq)) / gsq
-    A_new = A + a
-    zeta_u_new = st.zeta_u - a * gu
-    zeta_v_new = st.zeta_v - a * gv
-    plans_avg = plans_mu if A_new == 0.0 else (a * plans_mu + A * st.plans_avg) / A_new
-    return _WbAamState(
-        eta_u_new, eta_v_new, zeta_u_new, zeta_v_new, A_new, plans_avg, st.iteration + 1,
-        phi_eta_new, st.line_search_evals + evals,
-    )
+    return scale * (rows - problem.measure_stack()), scale * cols
 
 
 def accelerated_ibp(
@@ -439,55 +351,32 @@ def accelerated_ibp(
     smoothed = [smooth_measure(m.weights, eps_prime / 4.0) for m in ms]
     problem = BarycenterProblem(tuple(smoothed), C, used_gamma)
     m = problem.m
+    log_kernel, P = problem.log_kernel, problem.measure_stack()
 
-    st = _WbAamState(
-        eta_u=np.zeros((m, n)),
-        eta_v=np.zeros((m, n)),
-        zeta_u=np.zeros((m, n)),
-        zeta_v=np.zeros((m, n)),
-        A_big=0.0,
-        plans_avg=_normalized_couplings(np.zeros((m, n)), np.zeros((m, n)), problem.log_kernel),
-    )
+    state = AamState.initial(C.entries, used_gamma, m)
     for _ in range(max_iter):
-        st = _wb_aam_iterate(st, problem, checks=checks)
-        q_bar = st.plans_avg.sum(axis=1).mean(axis=0)
-        rounded = [
-            round_to_polytope(st.plans_avg[l], ms[l].weights, q_bar) for l in range(m)
-        ]
-        cost_gap = float(
-            np.mean(
-                [
-                    transport_cost(r.entries, C) - transport_cost(st.plans_avg[l], C)
-                    for l, r in enumerate(rounded)
-                ]
-            )
+        state = _aam_step(state, log_kernel, used_gamma / m, P)
+        if checks is not None:
+            eta = WbDualState(state.eta[:, :n], state.eta[:, n:], state.iteration)
+            checks.append(_ibp_check_row(eta, problem, kind=state.block))
+        q_bar = state.plan_avg.sum(axis=1).mean(axis=0)
+        rounded, objective, primal, gap, cost_gap = _round_with_gaps(
+            state.plan_avg, ms, q_bar, C, used_gamma, state.phi_eta
         )
-        primal = float(
-            np.mean(
-                [
-                    transport_cost(st.plans_avg[l], C)
-                    + problem.gamma * neg_entropy(st.plans_avg[l])
-                    for l in range(m)
-                ]
-            )
-        )
-        phi_eta = st.phi_eta
-        gap = primal + phi_eta
         if trace is not None:
             trace.append(
                 {
-                    "iteration": st.iteration,
-                    "dual_value": phi_eta,
+                    "iteration": state.iteration,
+                    "dual_value": state.phi_eta,
                     "primal_value": primal,
                     "duality_gap": gap,
                     "rounding_cost_gap": cost_gap,
                 }
             )
         if cost_gap <= eps / 4.0 and gap <= eps / 4.0:
-            objective = float(np.mean([transport_cost(r.entries, C) for r in rounded]))
             report = SolveReport(
                 objective=objective,
-                iterations=st.iteration,
+                iterations=state.iteration,
                 certificate=max(gap, 0.0) + max(cost_gap, 0.0),
                 params={
                     "gamma": used_gamma,
@@ -497,7 +386,10 @@ def accelerated_ibp(
                 },
                 trace=trace,
                 trace_columns=AIBP_TRACE_COLUMNS,
-                extras={"line_search_evals": st.line_search_evals},
+                extras={
+                    "line_search_evals": state.line_search_evals,
+                    "exp_passes": state.exp_passes,
+                },
             )
             return q_bar, rounded, report
     raise ConvergenceError(

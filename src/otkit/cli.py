@@ -254,10 +254,10 @@ def _cmd_oracle(manifest: RunManifest) -> SolveReport:
         )
     C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
     measures = _load_measure_dir(manifest.inputs["measures"])
-    q_opt, objective = oracle.exact_barycenter_lp([m.weights for m in measures], C)
-    io.save_vector(out / "q_bar.csv", q_opt)
+    sol = oracle._barycenter_lp([m.weights for m in measures], C)
+    io.save_vector(out / "q_bar.csv", sol.primal[-measures[0].n :])
     return SolveReport(
-        objective=objective, iterations=0, certificate=0.0,
+        objective=float(sol.objective), iterations=sol.pivots, certificate=0.0,
         params={"problem": "barycenter"},
     )
 

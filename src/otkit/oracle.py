@@ -223,6 +223,13 @@ def exact_barycenter_lp(measures, C) -> tuple[np.ndarray, float]:
     Variables are the m coupling matrices plus the common marginal q; the
     problem is jointly linear.  Returns (q_opt, optimal objective).
     """
+    sol = _barycenter_lp(measures, C)
+    return sol.primal[-as_matrix(C).shape[0] :], float(sol.objective)
+
+
+def _barycenter_lp(measures, C) -> LpSolution:
+    """The optimal solution of ``exact_barycenter_lp``'s LP: the m plans,
+    flattened row-major, then q in ``primal``, and the simplex pivots."""
     C = as_matrix(C)
     ps = [as_weights(m) for m in measures]
     m = len(ps)
@@ -269,7 +276,7 @@ def exact_barycenter_lp(measures, C) -> tuple[np.ndarray, float]:
         )
         if err > SOLUTION_TOL:
             raise RuntimeError(f"barycenter LP solution infeasible by {err:.3e}")
-    return q_opt, float(sol.objective)
+    return sol
 
 
 def regularized_wb_grid(measures, C, gamma: float, grid_step: float) -> tuple[np.ndarray, float]:

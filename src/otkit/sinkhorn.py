@@ -69,11 +69,14 @@ class ScalingKernel:
     absorptions: int = 0
 
     @classmethod
-    def start(cls, log_kernel, u, v, absorptions: int = 0) -> "ScalingKernel":
-        """Kernel at log potentials (u, v), each (m, n), with unit scalings."""
-        if u.any() or v.any():
+    def start(cls, log_kernel, u, v, absorptions: int = 0, K=None) -> "ScalingKernel":
+        """Kernel at log potentials (u, v), each (m, n), with unit scalings.
+
+        ``K``, when given, is exp(u_l + v_l' + L) already, as (m, n, n).
+        """
+        if K is None and (u.any() or v.any()):
             K = np.exp(u[:, :, None] + v[:, None, :] + log_kernel)
-        else:
+        elif K is None:
             K = np.exp(log_kernel)[None]
         return cls(log_kernel, u, v, np.ones(u.shape), np.ones(v.shape), K, absorptions)
 

@@ -8,6 +8,8 @@ import pytest
 from otkit.aam import (
     AamState,
     DistanceBound,
+    _aam_step,
+    _dual_at,
     _slope_and_curvature,
     aam_iterate,
     aam_solve,
@@ -17,11 +19,17 @@ from otkit.aam import (
     newton_line_search,
     normalized_coupling,
 )
-from otkit.barycenter import BarycenterProblem, wb_dual_gradients
+from otkit.barycenter import (
+    BarycenterProblem,
+    accelerated_ibp,
+    wb_dual_gradients,
+    wb_dual_objective,
+)
 from otkit.core import NumericalError, reg_primal_objective, transport_cost
 from otkit.oracle import exact_ot_lp
 from otkit.sinkhorn import approx_ot_sinkhorn
 from otkit.verify import approx_instances
+from otkit.io import dump_report_json
 from conftest import random_instance, random_measures
 
 
@@ -188,6 +196,127 @@ class TestIterate:
                 _phi(s_off.eta, C, gamma, p, q), abs=1e-9
             )
             assert np.abs(s_on.plan_avg - s_off.plan_avg).max() <= 1e-9
+
+
+def _absorbing_instance(seed, n):
+    """Support point 0 lies at cost >= 1 from every point, itself included,
+    and gamma = 0.01: the couplings' row and column 0 start near
+    exp(-100) relative to the rest, so the exact steps' scalings leave
+    their bound and the scaling kernel absorbs them."""
+    C, p, q = random_instance(seed, n)
+    C = C.entries.copy()
+    C[0, :] = C[:, 0] = 1.0 + np.random.default_rng(seed).uniform(0.0, 1.0, n)
+    C[0, 0] = 1.0
+    return C, p, q, 0.01
+
+
+def _engine_instances():
+    C, p, q = random_instance(44, 7)
+    yield "plain", C.entries, p, q, 0.2 * C.inf_norm
+    yield ("absorbing", *_absorbing_instance(45, 7))
+
+
+class TestEngine:
+    def test_one_pass_matches_public_views(self):
+        for label, C, p, q, gamma in _engine_instances():
+            state = AamState.initial(C, gamma)
+            absorptions = 0
+            for _ in range(12):
+                state = aam_iterate(state, C, gamma, p, q)
+                u, v = state.mu[:7], state.mu[7:]
+                phi, gu, gv, pi, _ = _dual_at(u[None], v[None], -C / gamma, gamma, p[None], q[None])
+                ref_gu, ref_gv = dual_partial_gradients((u, v), C, gamma, p, q)
+                assert abs(phi - dual_objective_lip((u, v), C, gamma, p, q)) <= 1e-13, label
+                assert np.abs(gu[0] - ref_gu).max() <= 1e-13, label
+                assert np.abs(gv[0] - ref_gv).max() <= 1e-13, label
+                assert np.abs(pi[0] - normalized_coupling(u, v, C, gamma)).max() <= 1e-13, label
+                absorptions = state.absorptions
+            assert (absorptions > 0) == (label == "absorbing")
+
+    def test_one_pass_matches_barycenter_views(self):
+        C, measures = random_measures(46, 3, 6)
+        for gamma in (0.2 * C.inf_norm, 0.01 * C.inf_norm):
+            problem = BarycenterProblem(tuple(measures), C, gamma)
+            P, scale = problem.measure_stack(), gamma / 3
+            state = AamState.initial(C, gamma, 3)
+            for _ in range(12):
+                state = _aam_step(state, problem.log_kernel, scale, P)
+                u, v = state.mu[:, :6], state.mu[:, 6:]
+                phi, gu, gv, pi, _ = _dual_at(u, v, problem.log_kernel, scale, P)
+                ref_gu, ref_gv = wb_dual_gradients((u, v), problem)
+                assert abs(phi - wb_dual_objective((u, v), problem)) <= 1e-13
+                assert np.abs(gu - ref_gu).max() <= 1e-13
+                assert np.abs(gv - (ref_gv - ref_gv.mean(axis=0))).max() <= 1e-13
+                for l in range(3):
+                    assert np.abs(pi[l] - normalized_coupling(u[l], v[l], C, gamma)).max() <= 1e-13
+
+    def test_barycenter_engine_keeps_zero_sum(self):
+        C, measures = random_measures(47, 4, 6)
+        problem = BarycenterProblem(tuple(measures), C, 0.1 * C.inf_norm)
+        state = AamState.initial(C, problem.gamma, 4)
+        blocks = set()
+        for _ in range(30):
+            state = _aam_step(state, problem.log_kernel, problem.gamma / 4, problem.measure_stack())
+            blocks.add(state.block)
+            for x in (state.eta, state.zeta, state.mu):
+                assert np.abs(x[:, 6:].sum(axis=0)).max() <= 1e-12
+        assert blocks == {"u", "v"}
+        checks: list[dict] = []
+        accelerated_ibp(measures, C, 0.1 * C.inf_norm, checks=checks)
+        v_rows = [c for c in checks if c["kind"] == "v"]
+        assert v_rows and max(c["v_sum_err"] for c in v_rows) <= 1e-12
+
+    def test_m1_path_matches_aam_iterate(self):
+        for label, C, p, q, gamma in _engine_instances():
+            flat = AamState.initial(C, gamma)
+            stacked = AamState.initial(C, gamma, 1)
+            for _ in range(15):
+                flat = aam_iterate(flat, C, gamma, p, q)
+                stacked = _aam_step(stacked, -C / gamma, gamma, p[None], q[None])
+                for name in ("eta", "zeta", "mu", "plan_avg"):
+                    a, b = getattr(flat, name), getattr(stacked, name)
+                    assert np.array_equal(a, b.reshape(a.shape)), (label, name)
+                for name in ("A_big", "phi_eta", "block", "line_search_evals",
+                             "absorptions", "exp_passes"):
+                    assert getattr(flat, name) == getattr(stacked, name), (label, name)
+
+    def test_exp_passes_count_every_pass(self):
+        for label, C, p, q, gamma in _engine_instances():
+            state = AamState.initial(C, gamma)
+            assert state.exp_passes == 1
+            for _ in range(15):
+                state = aam_iterate(state, C, gamma, p, q)
+                assert state.exp_passes == (
+                    1 + state.line_search_evals + 2 * state.iteration + 2 * state.absorptions
+                ), label
+        for _, (C, p, q) in approx_instances():
+            _, report = accelerated_ot(C, p.weights, q.weights, 0.1 * C.inf_norm)
+            assert report.extras["exp_passes"] == (
+                report.extras["line_search_evals"] + 2 * report.iterations + 1
+            )
+            _, report = aam_solve(C, 0.05 * C.inf_norm, p.weights, q.weights,
+                                  gap_tol=2e-7, check_every=5)
+            assert report.extras["exp_passes"] == (
+                report.extras["line_search_evals"] + 2 * report.iterations + 1
+                + report.iterations // 5
+            )
+        C, measures = random_measures(65, 3, 8)
+        _, _, report = accelerated_ibp(measures, C, 0.1 * C.inf_norm)
+        assert report.extras["exp_passes"] == (
+            report.extras["line_search_evals"] + 2 * report.iterations + 1
+        )
+
+    def test_work_counters_are_byte_identical_across_runs(self):
+        C, p, q = random_instance(48, 10)
+        C_b, measures = random_measures(49, 3, 6)
+        runs = []
+        for _ in range(2):
+            _, r1 = accelerated_ot(C, p, q, 0.1 * C.inf_norm)
+            _, r2 = aam_solve(C, 0.1 * C.inf_norm, p, q, gap_tol=1e-7)
+            _, _, r3 = accelerated_ibp(measures, C_b, 0.1 * C_b.inf_norm)
+            runs.append(dump_report_json({"ot": r1.extras, "aam": r2.extras, "aibp": r3.extras}))
+        assert runs[0] == runs[1]
+        assert '"exp_passes"' in runs[0]
 
 
 def _bisect_slope(slope, steps=200):

@@ -237,6 +237,18 @@ class TestBarycenterPipelines:
         assert rep_a.params["gamma"] == pytest.approx(eps / (2.0 * math.log(4)))
         assert rep_a.params["eps_prime"] == pytest.approx(eps / (8.0 * C.inf_norm))
 
+    def test_ibp_certificate_is_computed(self):
+        # certificate = duality gap + rounding cost gap, as for accelerated_ibp
+        for seed, eps_scale in ((70, 0.25), (71, 0.1)):
+            C, measures = random_measures(seed, 3, 6)
+            eps = eps_scale * C.inf_norm
+            _, _, report = barycenter_ibp(measures, C, eps)
+            cert = report.certificate
+            assert math.isfinite(cert) and cert >= 0.0
+            assert cert != eps
+            # on these instances the computed bound is well inside eps
+            assert cert < 0.5 * eps
+
     def test_aibp_line_search_passes_per_iteration(self):
         C, measures = random_measures(65, 3, 8)
         _, _, report = accelerated_ibp(measures, C, 0.1 * C.inf_norm)

@@ -179,6 +179,33 @@ class TestCommands:
         sol = otkit.exact_ot_lp([[0.0, 1.0], [1.0, 0.0]], [0.3, 0.7], [0.6, 0.4])
         assert rep["iterations"] == sol.pivots > 0
 
+    def test_oracle_barycenter_reports_pivots(self, tmp_path):
+        rng = np.random.default_rng(2)
+        mdir = tmp_path / "measures"
+        mdir.mkdir()
+        weights = []
+        for idx in range(1, 3):
+            w = rng.uniform(0.5, 1.5, 3)
+            io.save_vector(mdir / f"p_{idx}.csv", w / w.sum())
+            weights.append(io.load_measure(mdir / f"p_{idx}.csv").weights)
+        U = rng.uniform(0.2, 1.0, (3, 3))
+        C = 0.5 * (U + U.T)
+        np.fill_diagonal(C, 0.0)
+        io.save_matrix(tmp_path / "C.csv", C)
+        out = tmp_path / "out"
+        code = cli.main([
+            "oracle", "barycenter", "--measures", str(mdir),
+            "--cost", str(tmp_path / "C.csv"), "--output-dir", str(out), "--quiet",
+        ])
+        assert code == 0
+        rep = read_report(out)
+        q_opt, objective = otkit.exact_barycenter_lp(weights, io.load_cost(tmp_path / "C.csv"))
+        assert rep["objective"] == objective
+        assert np.array_equal(io.load_measure(out / "q_bar.csv").weights, q_opt)
+        # the report's iterations are the LP's simplex pivots
+        sol = otkit.oracle._barycenter_lp(weights, io.load_cost(tmp_path / "C.csv"))
+        assert rep["iterations"] == sol.pivots > 0
+
     def test_oracle_requires_problem_inputs(self, instance_dir, capsys):
         code = cli.main([
             "oracle", "ot", "--cost", str(instance_dir / "C.csv"),
