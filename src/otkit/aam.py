@@ -6,8 +6,7 @@ gradient), while a weighted running average of the normalized couplings
 reconstructs the primal plan.  One engine, ``_aam_step``, runs the scheme
 on the stacked dual of m couplings: transport is m = 1, and the
 barycenter dual of ``barycenter.accelerated_ibp`` is the case without a q
-term.  The end-to-end pipeline pairs this with marginal smoothing and
-polytope rounding.
+term.  ``accelerated_ot`` runs it inside ``sinkhorn.epsilon_pipeline``.
 """
 
 from __future__ import annotations
@@ -22,27 +21,22 @@ from .core import (
     DomainError,
     NumericalError,
     ParameterError,
-    RegularizationParams,
     SolveReport,
     TransportPlan,
     as_matrix,
     as_weights,
     marginal_violation,
-    neg_entropy,
     reg_primal_objective,
-    smooth_marginals,
-    transport_cost,
 )
 from .rounding import round_to_polytope
-from .sinkhorn import ScalingKernel
-
-TRACE_COLUMNS = (
-    "iteration",
-    "dual_value",
-    "primal_value",
-    "duality_gap",
-    "feasibility_l2",
-    "rounding_cost_gap",
+from .sinkhorn import (
+    AAM_SCHEDULE,
+    GAP_TRACE_COLUMNS,
+    ScalingKernel,
+    _dual_value,
+    _exp_pass,
+    _gap_row,
+    epsilon_pipeline,
 )
 
 #: The line search stops once its sign bracket on the mixing weight is this
@@ -123,17 +117,6 @@ def _unpack(pot) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(u, float), np.asarray(v, float)
 
 
-def _exp_pass(u, v, log_kernel) -> tuple[np.ndarray, np.ndarray]:
-    """exp(u_l + v_l' + L - top_l) for every l, as a fresh (m, n, n) array
-    whose largest entry per coupling is 1, and the shifts top_l, as (m,)."""
-    B = u[:, :, None] + v[:, None, :]
-    B += log_kernel
-    top = B.max(axis=(1, 2))
-    B -= top[:, None, None]
-    np.exp(B, out=B)
-    return B, top
-
-
 def _couplings(u, v, log_kernel):
     """Everything the stacked dual needs at (u, v), each (m, n), from one
     exp pass: the normalized couplings pi_l = B_l / 1' B_l 1 as (m, n, n),
@@ -143,19 +126,6 @@ def _couplings(u, v, log_kernel):
     mass = rows.sum(axis=1)
     pi /= mass[:, None, None]
     return pi, rows / mass[:, None], pi.sum(axis=1), np.log(mass) + top
-
-
-def _dual_value(u, v, log_kernel, scale: float, p, q=None, log_mass=None) -> float:
-    """Stacked smooth dual scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>)
-    with B_l = exp(u_l + v_l' + L), all arrays (m, n); no q term when q is
-    None.  Takes one exp pass unless ``log_mass`` (ln 1' B_l 1) is given."""
-    if log_mass is None:
-        B, top = _exp_pass(u, v, log_kernel)
-        log_mass = np.log(B.sum(axis=(1, 2))) + top
-    value = log_mass - (u * p).sum(axis=1)
-    if q is not None:
-        value -= (v * q).sum(axis=1)
-    return scale * float(value.sum())
 
 
 def dual_objective_lip(pot, C, gamma: float, p, q) -> float:
@@ -436,8 +406,8 @@ def aam_solve(
         width = reg_primal_objective(feasible.entries, C, gamma) + phi_eta
         if trace is not None:
             primal = reg_primal_objective(state.plan_avg, C, gamma)
-            row = _trace_row(
-                state.iteration, phi_eta, primal, primal + phi_eta, state.plan_avg, p, q
+            row = _gap_row(
+                state.iteration, phi_eta, primal, primal + phi_eta, state.plan_avg[None], p[None], q
             )
             row["certificate_width"] = width
             trace.append(row)
@@ -448,7 +418,7 @@ def aam_solve(
                 certificate=width,
                 params={"gamma": gamma, "gap_tol": gap_tol},
                 trace=trace,
-                trace_columns=TRACE_COLUMNS + ("certificate_width",),
+                trace_columns=GAP_TRACE_COLUMNS + ("certificate_width",),
                 extras={
                     "dual_value": phi_eta,
                     "upper_bound": reg_primal_objective(feasible.entries, C, gamma),
@@ -465,98 +435,26 @@ def aam_solve(
     )
 
 
-def _trace_row(t, phi_eta, primal, gap, plan, p, q, cost_gap=None) -> dict:
-    feas = math.sqrt(
-        float(((plan.sum(axis=1) - p) ** 2).sum())
-        + float(((plan.sum(axis=0) - q) ** 2).sum())
-    )
-    return {
-        "iteration": t,
-        "dual_value": phi_eta,
-        "primal_value": primal,
-        "duality_gap": gap,
-        "feasibility_l2": feas,
-        "rounding_cost_gap": cost_gap,
-    }
-
-
 def accelerated_ot(
     C, p, q, eps: float, max_iter: int = 100_000, trace: list | None = None
 ) -> tuple[TransportPlan, SolveReport]:
     """Epsilon-additive transport approximation by the accelerated scheme.
 
-    Sets gamma = eps / (3 ln n) and eps' = eps / (8 ||C||_inf), smooths the
-    marginals, and iterates; each outer check rounds the averaged plan
-    onto U(p, q) and stops once the rounding cost gap and the duality gap
-    both fall below eps / 6.  The vacuity short circuit of the Sinkhorn
-    pipeline applies here too (it also covers C = 0, where the schedule
-    for eps' is undefined).
+    Runs ``sinkhorn.epsilon_pipeline`` with ``AAM_SCHEDULE``: every
+    iteration's averaged plan is rounded onto U(p, q), and the solve stops
+    once the rounding cost gap and the duality gap at eta both fall below
+    eps / 6.
     """
-    if not (eps > 0):
-        raise ParameterError("eps must be positive")
-    C = as_matrix(C)
-    p = as_weights(p)
-    q = as_weights(q)
-    n = p.size
-    if n < 2:
-        raise ParameterError("need support size n >= 2")
-    c_inf = float(C.max())
 
-    if eps >= 8.0 * c_inf:
-        plan = TransportPlan(np.outer(p, q), feasible_for=(p, q))
-        report = SolveReport(
-            objective=transport_cost(plan.entries, C),
-            iterations=0,
-            certificate=0.0,
-            params={"gamma": None, "eps": eps, "eps_prime": None, "short_circuit": True},
-        )
-        return plan, report
+    def solve(C, params, smoothed, smoothed_target):
+        ps, qs = smoothed[0].weights, smoothed_target.weights
+        state = AamState.initial(C, params.gamma)
+        for _ in range(max_iter):
+            state = aam_iterate(state, C, params.gamma, ps, qs)
+            yield state.plan_avg[None], state.phi_eta, state.iteration, {
+                "line_search_evals": state.line_search_evals,
+                "exp_passes": state.exp_passes,
+            }
 
-    schedule = RegularizationParams(
-        gamma=eps / (3.0 * math.log(n)), eps=eps, eps_prime=eps / (8.0 * c_inf)
-    )
-    gamma, eps_prime = schedule.gamma, schedule.eps_prime
-    p_s, q_s = smooth_marginals(p, q, eps_prime)
-    ps, qs = p_s.weights, q_s.weights
-
-    state = AamState.initial(C, gamma)
-    for _ in range(max_iter):
-        state = aam_iterate(state, C, gamma, ps, qs)
-        plan_hat = round_to_polytope(state.plan_avg, p, q)
-        hat_cost = transport_cost(plan_hat.entries, C)
-        avg_cost = transport_cost(state.plan_avg, C)
-        cost_gap = hat_cost - avg_cost
-        phi_eta = state.phi_eta
-        primal = avg_cost + gamma * neg_entropy(state.plan_avg)
-        gap = primal + phi_eta
-        if trace is not None:
-            trace.append(
-                _trace_row(state.iteration, phi_eta, primal, gap, state.plan_avg, ps, qs, cost_gap)
-            )
-        if cost_gap <= eps / 6.0 and gap <= eps / 6.0:
-            report = SolveReport(
-                objective=hat_cost,
-                iterations=state.iteration,
-                certificate=max(gap, 0.0) + max(cost_gap, 0.0),
-                params={
-                    "gamma": gamma,
-                    "eps": eps,
-                    "eps_prime": eps_prime,
-                    "short_circuit": False,
-                },
-                trace=trace,
-                trace_columns=TRACE_COLUMNS,
-                extras={
-                    "dual_value": phi_eta,
-                    "primal_value": primal,
-                    "duality_gap": gap,
-                    "rounding_cost_gap": cost_gap,
-                    "line_search_evals": state.line_search_evals,
-                    "exp_passes": state.exp_passes,
-                },
-            )
-            return plan_hat, report
-    raise ConvergenceError(
-        f"accelerated OT did not stop within {max_iter} iterations",
-        trace=trace if trace is not None else [],
-    )
+    _, (plan,), report = epsilon_pipeline(AAM_SCHEDULE, C, p, q, eps, solve, trace=trace)
+    return plan, report

@@ -9,7 +9,6 @@ used by the decentralized solver.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,23 +24,20 @@ from .core import (
     as_matrix,
     as_weights,
     lse,
-    neg_entropy,
-    smooth_measure,
     softmax,
-    transport_cost,
 )
-from .aam import AamState, _aam_step, _couplings, _dual_value, _unpack
-from .rounding import round_to_polytope
-from .sinkhorn import ScalingKernel, _require_positive, default_max_iter
+from .aam import AamState, _aam_step, _couplings, _unpack
+from .sinkhorn import (
+    AIBP_SCHEDULE,
+    IBP_SCHEDULE,
+    ScalingKernel,
+    _dual_value,
+    _require_positive,
+    default_max_iter,
+    epsilon_pipeline,
+)
 
 IBP_TRACE_COLUMNS = ("sweep", "iteration", "dual_value", "marginal_spread")
-AIBP_TRACE_COLUMNS = (
-    "iteration",
-    "dual_value",
-    "primal_value",
-    "duality_gap",
-    "rounding_cost_gap",
-)
 
 
 @dataclass(frozen=True)
@@ -223,73 +219,22 @@ def barycenter_ibp(
 ) -> tuple[np.ndarray, list[TransportPlan], SolveReport]:
     """Approximate the non-regularized barycenter through IBP.
 
-    Schedule: gamma = eps / (4 ln n) and eps' = eps / (4 ||C||_inf).  The
-    input measures are separated from zero with the mixing transform
-    before solving (the scaling updates need strict positivity), the
-    returned common marginal is the mass-normalized average of the
-    couplings' column marginals, and each coupling is rounded onto
-    U(p_l, q_bar) with the original p_l.
-
-    ``gamma`` overrides the schedule for regularized-mode runs.
+    Runs ``sinkhorn.epsilon_pipeline`` with ``IBP_SCHEDULE``: IBP stops at
+    marginal spread eps' on the smoothed measures, and phi is the stacked
+    dual at its final potentials.  ``gamma`` overrides the schedule for
+    regularized-mode runs; ``trace`` and ``checks`` collect ``ibp_solve``'s
+    rows.
     """
-    C = C if isinstance(C, CostMatrix) else CostMatrix(as_matrix(C))
-    ms = [m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float)) for m in measures]
-    n = ms[0].n
-    if n < 2:
-        raise ParameterError("need support size n >= 2")
-    if not (eps > 0):
-        raise ParameterError("eps must be positive")
-    if C.inf_norm == 0.0:
-        # Degenerate zero cost: every feasible choice is optimal.
-        q_bar = np.mean([m.weights for m in ms], axis=0)
-        plans = [
-            round_to_polytope(np.outer(m.weights, q_bar), m.weights, q_bar) for m in ms
-        ]
-        report = SolveReport(0.0, 0, 0.0, {"gamma": None, "eps": eps, "eps_prime": None})
-        return q_bar, plans, report
 
-    sched_gamma = eps / (4.0 * math.log(n))
-    eps_prime = eps / (4.0 * C.inf_norm)
-    used_gamma = gamma if gamma is not None else sched_gamma
-    smoothed = [smooth_measure(m.weights, eps_prime / 4.0) for m in ms]
-    problem = BarycenterProblem(tuple(smoothed), C, used_gamma)
+    def solve(C, params, smoothed, _):
+        problem = BarycenterProblem(tuple(smoothed), C, params.gamma)
+        sol = ibp_solve(problem, params.eps_prime, max_sweeps=max_sweeps, trace=trace, checks=checks)
+        yield sol.plans, wb_dual_objective(sol.state, problem), sol.state.iteration, {}
 
-    sol = ibp_solve(problem, eps_prime, max_sweeps=max_sweeps, trace=trace, checks=checks)
-    masses = np.array([plan.sum() for plan in sol.plans])
-    q_bar = np.sum([plan.sum(axis=0) for plan in sol.plans], axis=0) / masses.sum()
-
-    phi = wb_dual_objective(sol.state, problem)
-    plans, objective, _, gap, cost_gap = _round_with_gaps(sol.plans, ms, q_bar, C, used_gamma, phi)
-    report = SolveReport(
-        objective=objective,
-        iterations=sol.state.iteration,
-        certificate=max(gap, 0.0) + max(cost_gap, 0.0),
-        params={
-            "gamma": used_gamma,
-            "eps": eps,
-            "eps_prime": eps_prime,
-            "gamma_override": gamma is not None,
-        },
-        trace=trace,
-        trace_columns=IBP_TRACE_COLUMNS,
+    return epsilon_pipeline(
+        IBP_SCHEDULE, C, measures, None, eps, solve,
+        gamma=gamma, trace=trace, trace_columns=IBP_TRACE_COLUMNS,
     )
-    return q_bar, plans, report
-
-
-def _round_with_gaps(plans, measures, q_bar, C, gamma: float, phi: float):
-    """Round each coupling onto U(p_l, q_bar) with the original p_l.
-
-    Returns the rounded plans, their mean cost, the mean regularized primal
-    value of the couplings, the duality gap (that value plus the dual value
-    ``phi``) and the mean rounding cost gap; the certificate is the sum of
-    the two gaps' positive parts.
-    """
-    rounded = [round_to_polytope(plan, m.weights, q_bar) for plan, m in zip(plans, measures)]
-    costs = [transport_cost(plan, C) for plan in plans]
-    rounded_costs = [transport_cost(r.entries, C) for r in rounded]
-    cost_gap = float(np.mean([r - c for r, c in zip(rounded_costs, costs)]))
-    primal = float(np.mean([c + gamma * neg_entropy(plan) for c, plan in zip(costs, plans)]))
-    return rounded, float(np.mean(rounded_costs)), primal, primal + phi, cost_gap
 
 
 # ---------------------------------------------------------------------------
@@ -323,79 +268,30 @@ def accelerated_ibp(
 ) -> tuple[np.ndarray, list[TransportPlan], SolveReport]:
     """Approximate the non-regularized barycenter by the accelerated scheme.
 
-    Schedule: gamma = eps / (2 ln n), eps' = eps / (8 ||C||_inf), measures
-    smoothed by (1 - eps'/4)(p_l + eps'/(4n) 1) and renormalized.  Each
-    outer check averages the normalized couplings' column marginals into
-    q_bar, rounds every coupling onto U(p_l, q_bar) with the original p_l,
-    and stops once the averaged rounding cost gap and the duality gap both
-    fall below eps / 4.
+    Runs ``sinkhorn.epsilon_pipeline`` with ``AIBP_SCHEDULE``: every
+    iteration's averaged couplings give q_bar and are rounded onto
+    U(p_l, q_bar), and the solve stops once the averaged rounding cost gap
+    and the duality gap at eta both fall below eps / 4.  ``gamma``
+    overrides the schedule; ``checks`` collects the block-exactness rows
+    at every eta.
     """
-    C = C if isinstance(C, CostMatrix) else CostMatrix(as_matrix(C))
-    ms = [m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float)) for m in measures]
-    n = ms[0].n
-    if n < 2:
-        raise ParameterError("need support size n >= 2")
-    if not (eps > 0):
-        raise ParameterError("eps must be positive")
-    if C.inf_norm == 0.0:
-        q_bar = np.mean([m.weights for m in ms], axis=0)
-        plans = [
-            round_to_polytope(np.outer(m.weights, q_bar), m.weights, q_bar) for m in ms
-        ]
-        report = SolveReport(0.0, 0, 0.0, {"gamma": None, "eps": eps, "eps_prime": None})
-        return q_bar, plans, report
 
-    sched_gamma = eps / (2.0 * math.log(n))
-    eps_prime = eps / (8.0 * C.inf_norm)
-    used_gamma = gamma if gamma is not None else sched_gamma
-    smoothed = [smooth_measure(m.weights, eps_prime / 4.0) for m in ms]
-    problem = BarycenterProblem(tuple(smoothed), C, used_gamma)
-    m = problem.m
-    log_kernel, P = problem.log_kernel, problem.measure_stack()
+    def solve(C, params, smoothed, _):
+        problem = BarycenterProblem(tuple(smoothed), C, params.gamma)
+        m, n = problem.m, problem.n
+        log_kernel, P = problem.log_kernel, problem.measure_stack()
+        state = AamState.initial(C.entries, params.gamma, m)
+        for _ in range(max_iter):
+            state = _aam_step(state, log_kernel, params.gamma / m, P)
+            if checks is not None:
+                eta = WbDualState(state.eta[:, :n], state.eta[:, n:], state.iteration)
+                checks.append(_ibp_check_row(eta, problem, kind=state.block))
+            yield state.plan_avg, state.phi_eta, state.iteration, {
+                "line_search_evals": state.line_search_evals,
+                "exp_passes": state.exp_passes,
+            }
 
-    state = AamState.initial(C.entries, used_gamma, m)
-    for _ in range(max_iter):
-        state = _aam_step(state, log_kernel, used_gamma / m, P)
-        if checks is not None:
-            eta = WbDualState(state.eta[:, :n], state.eta[:, n:], state.iteration)
-            checks.append(_ibp_check_row(eta, problem, kind=state.block))
-        q_bar = state.plan_avg.sum(axis=1).mean(axis=0)
-        rounded, objective, primal, gap, cost_gap = _round_with_gaps(
-            state.plan_avg, ms, q_bar, C, used_gamma, state.phi_eta
-        )
-        if trace is not None:
-            trace.append(
-                {
-                    "iteration": state.iteration,
-                    "dual_value": state.phi_eta,
-                    "primal_value": primal,
-                    "duality_gap": gap,
-                    "rounding_cost_gap": cost_gap,
-                }
-            )
-        if cost_gap <= eps / 4.0 and gap <= eps / 4.0:
-            report = SolveReport(
-                objective=objective,
-                iterations=state.iteration,
-                certificate=max(gap, 0.0) + max(cost_gap, 0.0),
-                params={
-                    "gamma": used_gamma,
-                    "eps": eps,
-                    "eps_prime": eps_prime,
-                    "gamma_override": gamma is not None,
-                },
-                trace=trace,
-                trace_columns=AIBP_TRACE_COLUMNS,
-                extras={
-                    "line_search_evals": state.line_search_evals,
-                    "exp_passes": state.exp_passes,
-                },
-            )
-            return q_bar, rounded, report
-    raise ConvergenceError(
-        f"accelerated IBP did not stop within {max_iter} iterations",
-        trace=trace if trace is not None else [],
-    )
+    return epsilon_pipeline(AIBP_SCHEDULE, C, measures, None, eps, solve, gamma=gamma, trace=trace)
 
 
 # ---------------------------------------------------------------------------

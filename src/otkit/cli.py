@@ -144,9 +144,9 @@ def _cmd_approx(manifest: RunManifest) -> SolveReport:
     C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
     p = io.load_measure(manifest.inputs["source"])
     q = io.load_measure(manifest.inputs["target"])
+    trace: list[dict] | None = [] if manifest.trace_path else None
     plan, report = sinkhorn.approx_ot_sinkhorn(
-        C, p.weights, q.weights, manifest.params["eps"],
-        record_trace=manifest.trace_path is not None,
+        C, p.weights, q.weights, manifest.params["eps"], trace=trace
     )
     io.save_matrix(Path(manifest.output_dir) / "plan.csv", plan.entries)
     return report
@@ -172,7 +172,6 @@ def _cmd_aam(manifest: RunManifest) -> SolveReport:
     plan, report = aam.accelerated_ot(
         C, p.weights, q.weights, manifest.params["eps"], trace=trace
     )
-    report.params["gamma_override"] = False
     io.save_matrix(Path(manifest.output_dir) / "plan.csv", plan.entries)
     return report
 

@@ -1,13 +1,14 @@
-"""Sinkhorn solver for the entropic transport dual.
+"""Sinkhorn solver for the entropic transport dual, and the epsilon-pipeline.
 
 One absorption-stabilized matrix-scaling kernel (Schmitzer, "Stabilized
 sparse scaling algorithms for entropy regularized transport problems",
 SIAM J. Sci. Comput. 2019) carries every half-step: alternating exact
 block minimization of the dual, its KL-projection reformulation, and the
 stacked m-measure updates of iterative Bregman projections.  Around it
-sit a computable suboptimality certificate and the end-to-end
-epsilon-approximation pipeline (smooth marginals, solve to half the
-marginal tolerance, round onto the polytope).
+sit a computable suboptimality certificate, the stacked smooth dual value
+and the one epsilon-approximation pipeline (``epsilon_pipeline``) that
+Sinkhorn, the accelerated scheme and both barycenter solvers run through:
+short-circuit, schedule, smoothing, solve, rounding and certificate.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import numpy as np
 
 from .core import (
     ConvergenceError,
+    CostMatrix,
+    DiscreteMeasure,
     DomainError,
     DualPotentials,
     NumericalError,
@@ -31,7 +34,8 @@ from .core import (
     log_scaling_matrix,
     lse,
     marginal_violation,
-    smooth_marginals,
+    neg_entropy,
+    smooth_measure,
     transport_cost,
 )
 from .rounding import round_to_polytope
@@ -133,6 +137,30 @@ class ScalingKernel:
             raise NumericalError("scaling half-step produced non-finite dual potentials")
         u, v = (new, v) if rows else (u, new)
         return ScalingKernel.start(self.log_kernel, u, v, self.absorptions + 1)
+
+
+def _exp_pass(u, v, log_kernel) -> tuple[np.ndarray, np.ndarray]:
+    """exp(u_l + v_l' + L - top_l) for every l, as a fresh (m, n, n) array
+    whose largest entry per coupling is 1, and the shifts top_l, as (m,)."""
+    B = u[:, :, None] + v[:, None, :]
+    B += log_kernel
+    top = B.max(axis=(1, 2))
+    B -= top[:, None, None]
+    np.exp(B, out=B)
+    return B, top
+
+
+def _dual_value(u, v, log_kernel, scale: float, p, q=None, log_mass=None) -> float:
+    """Stacked smooth dual scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>)
+    with B_l = exp(u_l + v_l' + L), all arrays (m, n); no q term when q is
+    None.  Takes one exp pass unless ``log_mass`` (ln 1' B_l 1) is given."""
+    if log_mass is None:
+        B, top = _exp_pass(u, v, log_kernel)
+        log_mass = np.log(B.sum(axis=(1, 2))) + top
+    value = log_mass - (u * p).sum(axis=1)
+    if q is not None:
+        value -= (v * q).sum(axis=1)
+    return scale * float(value.sum())
 
 
 @dataclass(frozen=True)
@@ -346,69 +374,213 @@ def kl_project(plan, target, axis: str) -> np.ndarray:
     return kernel.half_step(axis == "rows", t[None]).plans()[0]
 
 
-def approx_ot_sinkhorn(
-    C, p, q, eps: float, max_iter: int | None = None, record_trace: bool = False
-) -> tuple[TransportPlan, SolveReport]:
-    """Epsilon-additive approximation of the transport optimum.
+@dataclass(frozen=True)
+class EpsilonSchedule:
+    """One solver's row of the epsilon-pipeline's schedule table.
 
-    Pipeline: set eps' = eps / (8 ||C||_inf), smooth the marginals, run the
-    solver to violation eps'/2 at gamma = eps / (4 ln n), and round the
-    coupling onto U(p, q).  When eps >= 8 ||C||_inf the additive bound is
-    vacuous and the product plan p q' is returned directly.
+    gamma = eps / (gamma_div ln n) and eps' = eps / (eps_prime_div ||C||_inf);
+    every measure is smoothed with weight eps' / smooth_div.  A solver with
+    its own stopping rule has ``stop_div`` None; the others stop once the
+    duality gap and the rounding cost gap are both <= eps / stop_div.
+    """
+
+    solver: str
+    gamma_div: float
+    eps_prime_div: float
+    smooth_div: float
+    stop_div: float | None = None
+
+
+SINKHORN_SCHEDULE = EpsilonSchedule("Sinkhorn", 4.0, 8.0, 8.0)
+AAM_SCHEDULE = EpsilonSchedule("accelerated OT", 3.0, 8.0, 8.0, 6.0)
+IBP_SCHEDULE = EpsilonSchedule("IBP", 4.0, 4.0, 4.0)
+AIBP_SCHEDULE = EpsilonSchedule("accelerated IBP", 2.0, 8.0, 4.0, 4.0)
+
+#: Certificate terms every epsilon-pipeline report carries in its extras.
+GAP_KEYS = ("dual_value", "primal_value", "duality_gap", "rounding_cost_gap")
+
+#: Rows the pipeline records at every iteration of the solvers it stops.
+GAP_TRACE_COLUMNS = (
+    "iteration",
+    "dual_value",
+    "primal_value",
+    "duality_gap",
+    "feasibility_l2",
+    "rounding_cost_gap",
+)
+
+
+def _gap_row(t, phi, primal, gap, couplings, P, q, cost_gap=None) -> dict:
+    """One ``GAP_TRACE_COLUMNS`` row; feasibility_l2 is the l2 distance of
+    the (m, n, n) couplings' marginals from the rows of P and from q."""
+    feas = math.sqrt(
+        float(((couplings.sum(axis=2) - P) ** 2).sum())
+        + float(((couplings.sum(axis=1) - q) ** 2).sum())
+    )
+    return {
+        "iteration": t,
+        "dual_value": phi,
+        "primal_value": primal,
+        "duality_gap": gap,
+        "feasibility_l2": feas,
+        "rounding_cost_gap": cost_gap,
+    }
+
+
+def _round_with_gaps(couplings, P, q, C, gamma: float, phi: float):
+    """Round each coupling onto U(p_l, q), p_l the rows of P.
+
+    Returns the rounded plans, their mean cost, the mean regularized primal
+    value of the couplings, the duality gap (that value plus the dual value
+    ``phi``) and the mean rounding cost gap.
+    """
+    rounded = [round_to_polytope(plan, p, q) for plan, p in zip(couplings, P)]
+    costs = [transport_cost(plan, C) for plan in couplings]
+    rounded_costs = [transport_cost(r.entries, C) for r in rounded]
+    cost_gap = float(np.mean([r - c for r, c in zip(rounded_costs, costs)]))
+    primal = float(np.mean([c + gamma * neg_entropy(plan) for c, plan in zip(costs, couplings)]))
+    return rounded, float(np.mean(rounded_costs)), primal, primal + phi, cost_gap
+
+
+def epsilon_pipeline(
+    schedule: EpsilonSchedule, C, measures, target, eps: float, solve,
+    gamma: float | None = None, trace: list | None = None,
+    trace_columns: tuple[str, ...] = GAP_TRACE_COLUMNS,
+) -> tuple[np.ndarray, list[TransportPlan], SolveReport]:
+    """Epsilon-additive approximation of transport or of the barycenter.
+
+    Transport takes the one measure in ``measures`` to the fixed
+    ``target``.  With ``target`` None the problem is the barycenter of
+    ``measures``, and q is q_bar, the mass-normalized mean of the
+    couplings' column marginals.
+
+    At eps >= 8 ||C||_inf the additive bound is vacuous (every plan costs
+    at most ||C||_inf), which also covers C = 0: q is the target or the
+    mean measure and the plans are p_l q', without a solve.  Otherwise
+    the schedule gives gamma (unless ``gamma`` overrides it) and eps', the
+    measures and the target are smoothed, and
+    ``solve(C, params, smoothed, smoothed_target)`` yields
+    (couplings, phi, iteration, extras): m (n, n) couplings, the dual
+    value phi that certifies them, and solver diagnostics.  Each yield's
+    couplings are rounded onto U(p_l, q) with the caller's p_l.  A solver
+    with its own stopping rule yields once.  For the others every yield
+    is one iteration, recorded in ``trace``, and the first with both gaps
+    <= eps / stop_div is returned.  The certificate is
+    max(duality gap, 0) + max(rounding cost gap, 0).
+
+    Returns:
+        q (the target, or q_bar), the rounded plans, and the report.
+
+    Raises:
+        ConvergenceError: if ``solve`` stops yielding before the stop test
+            passes.
     """
     if not (eps > 0):
         raise ParameterError("eps must be positive")
-    C = as_matrix(C)
-    p = as_weights(p)
-    q = as_weights(q)
-    n = p.size
+    if target is None:
+        C = C if isinstance(C, CostMatrix) else CostMatrix(as_matrix(C))
+        rows = [(m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(m)).weights for m in measures]
+    else:
+        C = as_matrix(C)
+        target = as_weights(target)
+        rows = [as_weights(measures)]
+    n, k = as_matrix(C).shape
+    if not rows or any(w.size != n for w in rows) or (target is not None and target.size != k):
+        raise DomainError("measure sizes do not match the cost matrix")
     if n < 2:
         raise ParameterError("need support size n >= 2")
-    c_inf = float(C.max())
+    P = np.stack(rows)
+    c_inf = float(as_matrix(C).max())
+    record = dict(
+        gamma=None, eps=eps, eps_prime=None, short_circuit=True, gamma_override=gamma is not None
+    )
 
     if eps >= 8.0 * c_inf:
-        plan = TransportPlan(np.outer(p, q), feasible_for=(p, q))
-        report = SolveReport(
-            objective=transport_cost(plan.entries, C),
+        q = P.mean(axis=0) if target is None else target
+        plans = [TransportPlan(np.outer(p, q), feasible_for=(p, q)) for p in P]
+        return q, plans, SolveReport(
+            objective=float(np.mean([transport_cost(plan.entries, C) for plan in plans])),
             iterations=0,
             certificate=0.0,
-            params={"gamma": None, "eps": eps, "eps_prime": None, "short_circuit": True},
+            params=record,
+            trace=trace,
+            trace_columns=trace_columns,
+            extras=dict.fromkeys(GAP_KEYS),
         )
-        return plan, report
 
-    schedule = RegularizationParams(
-        gamma=eps / (4.0 * math.log(n)), eps=eps, eps_prime=eps / (8.0 * c_inf)
+    params = RegularizationParams(
+        gamma=eps / (schedule.gamma_div * math.log(n)) if gamma is None else gamma,
+        eps=eps,
+        eps_prime=eps / (schedule.eps_prime_div * c_inf),
     )
-    gamma, eps_prime = schedule.gamma, schedule.eps_prime
-    p_s, q_s = smooth_marginals(p, q, eps_prime)
-    trace_rows: list[dict] | None = [] if record_trace else None
-    state, plan_check = sinkhorn_solve(
-        C,
-        gamma,
-        p_s.weights,
-        q_s.weights,
-        eps_prime / 2.0,
-        max_iter=max_iter,
-        trace=trace_rows,
+    record.update(gamma=params.gamma, eps_prime=params.eps_prime, short_circuit=False)
+    weight = params.eps_prime / schedule.smooth_div
+    smoothed = [smooth_measure(p, weight) for p in P]
+    smoothed_target = None if target is None else smooth_measure(target, weight)
+    smoothed_stack = np.stack([m.weights for m in smoothed])
+    stop = None if schedule.stop_div is None else eps / schedule.stop_div
+    iteration = 0
+    for couplings, phi, iteration, extras in solve(C, params, smoothed, smoothed_target):
+        if target is None:
+            masses = np.array([plan.sum() for plan in couplings])
+            q = np.sum([plan.sum(axis=0) for plan in couplings], axis=0) / masses.sum()
+        else:
+            q = target
+        rounded, objective, primal, gap, cost_gap = _round_with_gaps(
+            couplings, P, q, C, params.gamma, phi
+        )
+        if stop is not None:
+            if trace is not None:
+                q_s = q if target is None else smoothed_target.weights
+                trace.append(
+                    _gap_row(iteration, phi, primal, gap, couplings, smoothed_stack, q_s, cost_gap)
+                )
+            if not (cost_gap <= stop and gap <= stop):
+                continue
+        return q, rounded, SolveReport(
+            objective=objective,
+            iterations=iteration,
+            certificate=max(gap, 0.0) + max(cost_gap, 0.0),
+            params=record,
+            trace=trace,
+            trace_columns=trace_columns,
+            extras={
+                "dual_value": phi,
+                "primal_value": primal,
+                "duality_gap": gap,
+                "rounding_cost_gap": cost_gap,
+                **extras,
+            },
+        )
+    raise ConvergenceError(
+        f"{schedule.solver} did not stop within {iteration} iterations",
+        trace=trace if trace is not None else [],
     )
-    plan_hat = round_to_polytope(plan_check.entries, p, q)
-    R = RadiusBound.from_instance(C, gamma, p_s.weights, q_s.weights).value
-    report = SolveReport(
-        objective=transport_cost(plan_hat.entries, C),
-        iterations=state.iteration,
-        certificate=0.5 * gamma * R * state.last_violation,
-        params={
-            "gamma": gamma,
-            "eps": eps,
-            "eps_prime": eps_prime,
-            "short_circuit": False,
-        },
-        trace=trace_rows,
-        trace_columns=TRACE_COLUMNS,
-        extras={
-            "violation_at_exit": state.last_violation,
-            "cost_moved_by_rounding": transport_cost(plan_hat.entries, C)
-            - transport_cost(plan_check.entries, C),
-        },
+
+
+def approx_ot_sinkhorn(
+    C, p, q, eps: float, max_iter: int | None = None, trace: list | None = None
+) -> tuple[TransportPlan, SolveReport]:
+    """Epsilon-additive approximation of the transport optimum by Sinkhorn.
+
+    Runs ``epsilon_pipeline`` with ``SINKHORN_SCHEDULE``: Sinkhorn stops at
+    violation eps'/2 on the smoothed marginals, and phi is the stacked dual
+    at its final potentials.  ``trace`` collects ``sinkhorn_solve``'s rows.
+    """
+
+    def solve(C, params, smoothed, smoothed_target):
+        ps, qs = smoothed[0].weights, smoothed_target.weights
+        state, plan = sinkhorn_solve(
+            C, params.gamma, ps, qs, params.eps_prime / 2.0, max_iter=max_iter, trace=trace
+        )
+        couplings = plan.entries[None]
+        phi = _dual_value(
+            state.pot.u[None], state.pot.v[None], None, params.gamma, ps[None], qs[None],
+            log_mass=np.log(couplings.sum(axis=(1, 2))),
+        )
+        yield couplings, phi, state.iteration, {"violation_at_exit": state.last_violation}
+
+    _, (plan,), report = epsilon_pipeline(
+        SINKHORN_SCHEDULE, C, p, q, eps, solve, trace=trace, trace_columns=TRACE_COLUMNS
     )
-    return plan_hat, report
+    return plan, report

@@ -441,14 +441,6 @@ class TestDistanceBound:
 
 
 class TestAcceleratedPipeline:
-    def test_zero_cost_short_circuit(self):
-        p = np.array([0.3, 0.7])
-        q = np.array([0.6, 0.4])
-        plan, report = accelerated_ot(np.zeros((2, 2)), p, q, eps=0.2)
-        assert report.objective == 0.0
-        assert report.iterations == 0
-        assert plan.feasible_for is not None
-
     def test_two_by_two_within_window(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])

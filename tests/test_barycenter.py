@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from otkit.aam import accelerated_ot
 from otkit.barycenter import (
     BarycenterProblem,
     WbDualState,
@@ -21,7 +22,7 @@ from otkit.barycenter import (
 )
 from otkit.core import DiscreteMeasure, DomainError, reg_primal_objective
 from otkit.oracle import exact_barycenter_lp, exact_ot_lp
-from otkit.sinkhorn import sinkhorn_solve
+from otkit.sinkhorn import approx_ot_sinkhorn, sinkhorn_solve
 from conftest import grid_cost, random_instance, random_measures
 
 
@@ -228,14 +229,23 @@ class TestBarycenterPipelines:
         assert abs(val_i - val_a) <= eps
 
     def test_schedules_recorded(self):
+        # The epsilon-pipeline's schedule table, one row per solver:
+        # (solve, gamma * ln n / eps, eps' * ||C||_inf / eps).
         C, measures = random_measures(66, 2, 4)
+        p, q = (m.weights for m in measures)
         eps = 0.3 * C.inf_norm
-        _, _, rep_i = barycenter_ibp(measures, C, eps)
-        assert rep_i.params["gamma"] == pytest.approx(eps / (4.0 * math.log(4)))
-        assert rep_i.params["eps_prime"] == pytest.approx(eps / (4.0 * C.inf_norm))
-        _, _, rep_a = accelerated_ibp(measures, C, eps)
-        assert rep_a.params["gamma"] == pytest.approx(eps / (2.0 * math.log(4)))
-        assert rep_a.params["eps_prime"] == pytest.approx(eps / (8.0 * C.inf_norm))
+        table = (
+            (lambda: approx_ot_sinkhorn(C, p, q, eps)[1], 1 / 4, 1 / 8),
+            (lambda: accelerated_ot(C, p, q, eps)[1], 1 / 3, 1 / 8),
+            (lambda: barycenter_ibp(measures, C, eps)[2], 1 / 4, 1 / 4),
+            (lambda: accelerated_ibp(measures, C, eps)[2], 1 / 2, 1 / 8),
+        )
+        for solve, gamma_factor, eps_prime_factor in table:
+            report = solve()
+            assert report.params["gamma"] == pytest.approx(gamma_factor * eps / math.log(4))
+            assert report.params["eps_prime"] == pytest.approx(eps_prime_factor * eps / C.inf_norm)
+            assert report.params["short_circuit"] is False
+            assert report.params["gamma_override"] is False
 
     def test_ibp_certificate_is_computed(self):
         # certificate = duality gap + rounding cost gap, as for accelerated_ibp

@@ -114,6 +114,20 @@ class TestCommands:
         header = trace.read_text().splitlines()[0]
         assert header == "iteration,violation,dual_objective,certificate"
 
+    def test_approx_with_trace(self, instance_dir):
+        trace = instance_dir / "trace.csv"
+        code = cli.main([
+            "approx", "--cost", str(instance_dir / "C.csv"),
+            "--source", str(instance_dir / "p.csv"),
+            "--target", str(instance_dir / "q.csv"),
+            "--eps", "0.05", "--output-dir", str(instance_dir / "out"),
+            "--trace", str(trace), "--quiet",
+        ])
+        assert code == 0
+        lines = trace.read_text().splitlines()
+        assert lines[0] == "iteration,violation,dual_objective,certificate"
+        assert len(lines) > 1
+
     def test_sinkhorn_convergence_failure_exit_2(self, instance_dir, capsys):
         code = cli.main([
             "sinkhorn", "--cost", str(instance_dir / "C.csv"),

@@ -1,0 +1,95 @@
+"""The shared epsilon-pipeline of the four approximate solvers: the vacuity
+short-circuit, the certificate and the recorded schedule."""
+
+import math
+
+import numpy as np
+import pytest
+
+from otkit.aam import accelerated_ot
+from otkit.barycenter import accelerated_ibp, barycenter_ibp
+from otkit.core import DiscreteMeasure, DomainError
+from otkit.sinkhorn import GAP_KEYS, approx_ot_sinkhorn
+from conftest import random_instance, random_measures
+
+SOLVERS = ("sinkhorn", "aam", "ibp", "aibp")
+
+
+def run(solver, C, measures, eps):
+    """(q, plans, report) of any of the four solvers; transport takes the
+    first measure to the second."""
+    if solver in ("sinkhorn", "aam"):
+        p, q = (np.asarray(m, float) for m in measures)
+        ot = approx_ot_sinkhorn if solver == "sinkhorn" else accelerated_ot
+        plan, report = ot(C, p, q, eps)
+        return q, [plan], report
+    return (barycenter_ibp if solver == "ibp" else accelerated_ibp)(measures, C, eps)
+
+
+def instance(solver, seed, n):
+    if solver in ("sinkhorn", "aam"):
+        C, p, q = random_instance(seed, n)
+        return C, [DiscreteMeasure(p), DiscreteMeasure(q)]
+    return random_measures(seed, 3, n)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("case", ["zero-cost", "eps-40-cost"])
+def test_short_circuit(solver, case):
+    if case == "zero-cost":
+        C = np.zeros((2, 2))
+        measures = [DiscreteMeasure(np.array([0.3, 0.7])), DiscreteMeasure(np.array([0.6, 0.4]))]
+        eps = 0.1
+    else:
+        C, measures = instance(solver, 80, 5)
+        eps = 40.0 * C.inf_norm
+    q, plans, report = run(solver, C, measures, eps)
+    if solver in ("ibp", "aibp"):
+        sources = measures
+        assert np.array_equal(q, np.mean([m.weights for m in measures], axis=0))
+    else:
+        sources = measures[:1]
+        assert np.array_equal(q, measures[1].weights)
+    assert report.params["short_circuit"] is True
+    assert report.iterations == 0
+    assert report.certificate == 0.0
+    assert report.params["gamma"] is None and report.params["eps_prime"] is None
+    assert set(GAP_KEYS) <= set(report.extras)
+    costs = []
+    for plan, m in zip(plans, sources, strict=True):
+        assert plan.feasible_for is not None
+        assert np.allclose(plan.entries, np.outer(m.weights, q))
+        costs.append(float((plan.entries * np.asarray(C)).sum()))
+    assert report.objective == pytest.approx(np.mean(costs), rel=1e-15, abs=0.0)
+    if case == "zero-cost":
+        assert report.objective == 0.0
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("seed", [41, 65])
+def test_certificate_is_sum_of_positive_gaps(solver, seed):
+    C, measures = instance(solver, seed, 16 if solver in ("sinkhorn", "aam") else 8)
+    eps = 0.1 * C.inf_norm
+    _, _, report = run(solver, C, measures, eps)
+    extras = report.extras
+    assert set(GAP_KEYS) <= set(extras)
+    assert extras["duality_gap"] == extras["primal_value"] + extras["dual_value"]
+    assert report.certificate == max(extras["duality_gap"], 0.0) + max(extras["rounding_cost_gap"], 0.0)
+    assert math.isfinite(report.certificate)
+    assert report.certificate < 0.5 * eps
+
+
+def test_gamma_override_is_recorded():
+    C, measures = random_measures(66, 2, 4)
+    for solver in (barycenter_ibp, accelerated_ibp):
+        _, _, report = solver(measures, C, 0.3 * C.inf_norm, gamma=0.05)
+        assert report.params["gamma"] == 0.05
+        assert report.params["gamma_override"] is True
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_mismatched_sizes_raise_domain_error(solver):
+    C, measures = random_measures(81, 2, 4)
+    measures = [measures[0], DiscreteMeasure(np.full(3, 1 / 3))]
+    with pytest.raises(DomainError):
+        run(solver, C, measures, 0.1 * C.inf_norm)
