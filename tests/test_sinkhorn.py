@@ -334,6 +334,13 @@ class TestApproxPipeline:
             opt = exact_ot_lp(C, p, q).objective
             assert transport_cost(plan.entries, C) - opt <= eps
 
+    def test_schedule_recorded(self):
+        C, p, q = random_instance(23, 4)
+        eps = 0.1 * C.inf_norm
+        _, report = approx_ot_sinkhorn(C, p, q, eps)
+        assert report.params["gamma"] == pytest.approx(eps / (4.0 * math.log(4)))
+        assert report.params["eps_prime"] == pytest.approx(eps / (8.0 * C.inf_norm))
+
 
 def test_cross_solver_regularized_agreement():
     from otkit.aam import aam_solve
