@@ -11,7 +11,6 @@ from .core import (
     NumericalError,
     OtError,
     ParameterError,
-    ProtocolError,
     RegularizationParams,
     SolveReport,
     TransportPlan,

@@ -20,24 +20,18 @@ from .core import (
     ConvergenceError,
     DomainError,
     NumericalError,
-    ParameterError,
     SolveReport,
     TransportPlan,
     as_matrix,
+    as_potentials,
     as_weights,
     marginal_violation,
     reg_primal_objective,
 )
+from .kernel import ScalingKernel, couplings, dual_value, log_kernel
+from .kernel import slope_and_curvature as _slope_and_curvature
 from .rounding import round_to_polytope
-from .sinkhorn import (
-    AAM_SCHEDULE,
-    GAP_TRACE_COLUMNS,
-    ScalingKernel,
-    _dual_value,
-    _exp_pass,
-    _gap_row,
-    epsilon_pipeline,
-)
+from .sinkhorn import AAM_SCHEDULE, GAP_TRACE_COLUMNS, _gap_row, epsilon_pipeline
 
 #: The line search stops once its sign bracket on the mixing weight is this
 #: narrow: the slope's rounding noise then decides the last digits.
@@ -74,10 +68,10 @@ class AamState:
     @classmethod
     def initial(cls, C, gamma: float, m: int | None = None) -> "AamState":
         """The origin, for transport (m None) or for m stacked couplings."""
-        log_kernel = -as_matrix(C) / gamma
-        n = log_kernel.shape[0]
+        L = log_kernel(C, gamma)
+        n = L.shape[0]
         zero = np.zeros((1 if m is None else m, n))
-        plans = _couplings(zero, zero, log_kernel)[0]
+        plans = couplings(zero, zero, L)[0]
         x = np.zeros((2 * n,) if m is None else (m, 2 * n))
         return cls(
             eta=x, zeta=x.copy(), mu=x.copy(), A_big=0.0,
@@ -110,24 +104,6 @@ class DistanceBound:
         )
 
 
-def _unpack(pot) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(pot, "u"):
-        return np.asarray(pot.u, float), np.asarray(pot.v, float)
-    u, v = pot
-    return np.asarray(u, float), np.asarray(v, float)
-
-
-def _couplings(u, v, log_kernel):
-    """Everything the stacked dual needs at (u, v), each (m, n), from one
-    exp pass: the normalized couplings pi_l = B_l / 1' B_l 1 as (m, n, n),
-    their row and column marginals as (m, n), and ln 1' B_l 1 as (m,)."""
-    pi, top = _exp_pass(u, v, log_kernel)
-    rows = pi.sum(axis=2)
-    mass = rows.sum(axis=1)
-    pi /= mass[:, None, None]
-    return pi, rows / mass[:, None], pi.sum(axis=1), np.log(mass) + top
-
-
 def dual_objective_lip(pot, C, gamma: float, p, q) -> float:
     """Smooth dual value gamma * (ln(1' B(u,v) 1) - <u, p> - <v, q>).
 
@@ -135,12 +111,9 @@ def dual_objective_lip(pot, C, gamma: float, p, q) -> float:
     2 * gamma * ln n at the origin when C = 0.  The m = 1 view of the
     stacked dual the AAM engine evaluates.
     """
-    u, v = _unpack(pot)
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    return _dual_value(
-        u[None], v[None], -as_matrix(C) / gamma, gamma, as_weights(p)[None], as_weights(q)[None]
-    )
+    u, v = as_potentials(pot)
+    p, q = as_weights(p)[None], as_weights(q)[None]
+    return dual_value(u[None], v[None], log_kernel(C, gamma), gamma, p, q)
 
 
 def dual_partial_gradients(pot, C, gamma: float, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -151,52 +124,20 @@ def dual_partial_gradients(pot, C, gamma: float, p, q) -> tuple[np.ndarray, np.n
     ``dual_objective_lip`` itself, verified against central finite
     differences.)
     """
-    u, v = _unpack(pot)
-    _, rows, cols, _ = _couplings(u[None], v[None], -as_matrix(C) / gamma)
+    u, v = as_potentials(pot)
+    _, rows, cols, _ = couplings(u[None], v[None], log_kernel(C, gamma))
     return gamma * (rows[0] - as_weights(p)), gamma * (cols[0] - as_weights(q))
 
 
 def normalized_coupling(u, v, C, gamma: float) -> np.ndarray:
     """Unit-mass coupling B(u, v) / (1' B(u, v) 1), computed stably."""
-    u, v = _unpack((u, v))
-    return _couplings(u[None], v[None], -as_matrix(C) / gamma)[0][0]
-
-
-def _slope_and_curvature(log_kernel, u, v, du, dv, scale, p, q, beta) -> tuple[float, float]:
-    """phi'(beta) and phi''(beta) of the stacked smooth dual along (du, dv).
-
-    Coupling l has log entries u_l + v_l' + L + beta * D_l with
-    D_l = du_l + dv_l'.  With pi_l its normalized coupling, the dual
-    scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>) has slope
-    scale * sum_l (E[D_l] - <du_l, p_l> - <dv_l, q_l>) and curvature
-    scale * sum_l Var[D_l] under pi_l (no q term when q is None).  One
-    exp pass gives both: the variance comes from the row and column sums
-    and one matrix-vector product, with du and dv centred on their means.
-    """
-    wu = u + beta * du
-    wv = v + beta * dv
-    B = (wu - wu.max(axis=1)[:, None])[:, :, None] + (wv - wv.max(axis=1)[:, None])[:, None, :]
-    B += log_kernel
-    B -= B.max(axis=(1, 2))[:, None, None]
-    np.exp(B, out=B)
-    mass = B.sum(axis=(1, 2))
-    rows = B.sum(axis=2) / mass[:, None]
-    cols = B.sum(axis=1) / mass[:, None]
-    mean_u = (du * rows).sum(axis=1)
-    mean_v = (dv * cols).sum(axis=1)
-    cu = du - mean_u[:, None]
-    cv = dv - mean_v[:, None]
-    cov = (cu * np.matmul(B, cv[:, :, None])[:, :, 0]).sum(axis=1) / mass
-    var = (rows * cu * cu).sum(axis=1) + (cols * cv * cv).sum(axis=1) + 2.0 * cov
-    slope = mean_u + mean_v - (du * p).sum(axis=1)
-    if q is not None:
-        slope = slope - (dv * q).sum(axis=1)
-    return scale * float(slope.sum()), scale * float(var.sum())
+    u, v = as_potentials((u, v))
+    return couplings(u[None], v[None], log_kernel(C, gamma))[0][0]
 
 
 def newton_line_search(log_kernel, u, v, du, dv, scale: float, p, q=None) -> tuple[float, int]:
     """Minimize the stacked smooth dual over the segment (u, v) + beta (du, dv),
-    beta in [0, 1]; see ``_slope_and_curvature`` for the dual.
+    beta in [0, 1]; see ``kernel.slope_and_curvature`` for the dual.
 
     The dual is convex in beta, so its slope is nondecreasing.  Returns 0
     when the slope at 0 is >= 0 and 1 when the slope at 1 is <= 0.
@@ -272,8 +213,8 @@ def _dual_at(u, v, log_kernel, scale: float, p, q=None):
     """The stacked dual at (u, v) from one exp pass: its value, both
     gradient blocks (the v block projected onto sum_l v_l = 0 when q is
     None), the normalized couplings and ln 1' B_l 1."""
-    pi, rows, cols, log_mass = _couplings(u, v, log_kernel)
-    phi = _dual_value(u, v, log_kernel, scale, p, q, log_mass)
+    pi, rows, cols, log_mass = couplings(u, v, log_kernel)
+    phi = dual_value(u, v, log_kernel, scale, p, q, log_mass)
     gu = scale * (rows - p)
     gv = scale * (cols - (cols.mean(axis=0) if q is None else q))
     return phi, gu, gv, pi, log_mass
@@ -294,7 +235,7 @@ def _aam_step(
     block with the larger gradient; solves the step-size quadratic,
     updates the momentum point, and folds the couplings at mu into the
     primal average.  phi at the new eta takes one more pass, through
-    ``_dual_value``.
+    ``kernel.dual_value``.
     """
     m, n = p.shape
     eta, zeta = state.eta.reshape(m, 2 * n), state.zeta.reshape(m, 2 * n)
@@ -325,7 +266,7 @@ def _aam_step(
     kernel = ScalingKernel.start(log_kernel, u, v, K=pi_mu)
     kernel = kernel.half_step(rows, p if rows else q)
     eta_u, eta_v = kernel.potentials()
-    phi_eta_new = _dual_value(eta_u, eta_v, log_kernel, scale, p, q)
+    phi_eta_new = dual_value(eta_u, eta_v, log_kernel, scale, p, q)
 
     shape = state.eta.shape
     A = state.A_big
@@ -365,9 +306,9 @@ def _aam_step(
 def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = True) -> AamState:
     """One full iteration of the accelerated alternating minimization: the
     m = 1 view of the stacked engine, with (2n,) iterates."""
-    C = as_matrix(C)
     return _aam_step(
-        state, -C / gamma, gamma, as_weights(p)[None], as_weights(q)[None], shift_normalize
+        state, log_kernel(C, gamma), gamma, as_weights(p)[None], as_weights(q)[None],
+        shift_normalize,
     )
 
 

@@ -3,8 +3,9 @@
 Iterative Bregman projections (the m-measure generalization of Sinkhorn
 with a shared geometric-mean column marginal), its accelerated variant on
 the smooth dual with the zero-sum constraint on the column potentials,
-and the Fenchel-Legendre machinery for the regularized transport value
-used by the decentralized solver.
+and the single-measure views of the conjugate of the regularized
+transport value (``kernel.fenchel_dual_values`` and
+``kernel.fenchel_dual_gradients``, which the decentralized solver calls).
 """
 
 from __future__ import annotations
@@ -21,17 +22,23 @@ from .core import (
     ParameterError,
     SolveReport,
     TransportPlan,
-    as_matrix,
+    as_potentials,
     as_weights,
-    lse,
-    softmax,
 )
-from .aam import AamState, _aam_step, _couplings, _unpack
+from .aam import AamState, _aam_step
+from .kernel import (
+    ScalingKernel,
+    couplings,
+    dual_value,
+    fenchel_dual_gradients,
+    fenchel_dual_values,
+    log_kernel,
+    log_marginals,
+    log_masses,
+)
 from .sinkhorn import (
     AIBP_SCHEDULE,
     IBP_SCHEDULE,
-    ScalingKernel,
-    _dual_value,
     _require_positive,
     default_max_iter,
     epsilon_pipeline,
@@ -76,7 +83,7 @@ class BarycenterProblem:
 
     @property
     def log_kernel(self) -> np.ndarray:
-        return -self.cost.entries / self.gamma
+        return log_kernel(self.cost, self.gamma)
 
     def measure_stack(self) -> np.ndarray:
         return np.stack([m.weights for m in self.measures])
@@ -98,11 +105,6 @@ class WbDualState:
     @classmethod
     def initial(cls, m: int, n: int) -> "WbDualState":
         return cls(np.zeros((m, n)), np.zeros((m, n)))
-
-
-def _log_couplings(u: np.ndarray, v: np.ndarray, logK: np.ndarray) -> np.ndarray:
-    """Stacked log couplings: entry (l, i, j) = u_li + v_lj + logK_ij."""
-    return u[:, :, None] + v[:, None, :] + logK[None, :, :]
 
 
 def ibp_step(state: WbDualState, problem: BarycenterProblem) -> WbDualState:
@@ -128,8 +130,7 @@ def ibp_step(state: WbDualState, problem: BarycenterProblem) -> WbDualState:
 
 def ibp_dual_value(state: WbDualState, problem: BarycenterProblem) -> float:
     """Dual value (1/m) sum_l ( 1' B(u_l, v_l) 1 - <u_l, p_l> )."""
-    logB = _log_couplings(state.u, state.v, problem.log_kernel)
-    masses = np.exp(lse(logB.reshape(problem.m, -1), axis=1))
+    masses = np.exp(log_masses(state.u, state.v, problem.log_kernel))
     inner = (state.u * problem.measure_stack()).sum(axis=1)
     return float((masses - inner).mean())
 
@@ -198,17 +199,13 @@ def ibp_solve(
 
 
 def _ibp_check_row(state: WbDualState, problem: BarycenterProblem, kind: str) -> dict:
-    logB = _log_couplings(state.u, state.v, problem.log_kernel)
     row = {"iteration": state.iteration, "kind": kind}
+    sums = np.exp(log_marginals(state.u, state.v, problem.log_kernel, rows=kind == "u"))
     if kind == "u":
-        rows = np.exp(lse(logB, axis=2))
-        row["row_marginal_err"] = float(
-            np.abs(rows - problem.measure_stack()).sum(axis=1).max()
-        )
+        row["row_marginal_err"] = float(np.abs(sums - problem.measure_stack()).sum(axis=1).max())
     else:
-        cols = np.exp(lse(logB, axis=1))
-        log_geo = np.log(cols).mean(axis=0)
-        row["col_coincide_err"] = float(np.abs(cols - np.exp(log_geo)).max())
+        log_geo = np.log(sums).mean(axis=0)
+        row["col_coincide_err"] = float(np.abs(sums - np.exp(log_geo)).max())
         row["v_sum_err"] = float(np.abs(state.v.sum(axis=0)).max())
     return row
 
@@ -244,8 +241,8 @@ def barycenter_ibp(
 def wb_dual_objective(state, problem: BarycenterProblem) -> float:
     """Smooth barycenter dual (gamma/m) sum_l ( ln 1' B_l 1 - <u_l, p_l> ):
     the stacked dual of the AAM engine without its q term."""
-    u, v = _unpack(state)
-    return _dual_value(u, v, problem.log_kernel, problem.gamma / problem.m, problem.measure_stack())
+    u, v = as_potentials(state)
+    return dual_value(u, v, problem.log_kernel, problem.gamma / problem.m, problem.measure_stack())
 
 
 def wb_dual_gradients(state, problem: BarycenterProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -256,8 +253,8 @@ def wb_dual_gradients(state, problem: BarycenterProblem) -> tuple[np.ndarray, np
     zero-sum constraint on v is handled by projection at the solver
     level, so these match central finite differences directly.
     """
-    u, v = _unpack(state)
-    _, rows, cols, _ = _couplings(u, v, problem.log_kernel)
+    u, v = as_potentials(state)
+    _, rows, cols, _ = couplings(u, v, problem.log_kernel)
     scale = problem.gamma / problem.m
     return scale * (rows - problem.measure_stack()), scale * cols
 
@@ -295,40 +292,8 @@ def accelerated_ibp(
 
 
 # ---------------------------------------------------------------------------
-# Fenchel-Legendre transform of the regularized transport value
+# Conjugate of the regularized transport value, one measure at a time
 # ---------------------------------------------------------------------------
-
-def _conjugate_args(U, P, C, gamma):
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    U = np.asarray(U, dtype=float)
-    P = np.asarray(P, dtype=float)
-    if U.ndim != 2 or U.shape != P.shape:
-        raise DomainError("expected matching (m, n) stacks of duals and measures")
-    return U, P, as_matrix(C)
-
-
-def fenchel_dual_values(U, P, C, gamma: float) -> np.ndarray:
-    """``fenchel_dual_ot`` at every row pair (U[k], P[k]) of two (m, n)
-    stacks, as an (m,) array, from one (m, n, n) log-sum-exp pass."""
-    U, P, C = _conjugate_args(U, P, C, gamma)
-    if np.any(P <= 0):
-        raise DomainError("measure must be strictly positive")
-    Z = U[:, None, :] - C
-    Z /= gamma  # [k, j, i] = (u_ki - C_ji) / gamma
-    lse_rows = lse(Z, axis=2)
-    return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
-
-
-def fenchel_dual_gradients(U, P, C, gamma: float) -> np.ndarray:
-    """``fenchel_dual_gradient`` at every row pair (U[k], P[k]) of two
-    (m, n) stacks, as an (m, n) array, from one (m, n, n) softmax pass."""
-    U, P, C = _conjugate_args(U, P, C, gamma)
-    Z = U[:, None, :] - C
-    Z /= gamma
-    soft = softmax(Z)  # [k, j]: softmax over i of (u_ki - C_ji) / gamma
-    return (P[:, None, :] @ soft)[:, 0, :]
-
 
 def fenchel_dual_ot(u, p, C, gamma: float) -> float:
     """Convex conjugate of the regularized transport value in its second

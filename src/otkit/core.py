@@ -2,9 +2,8 @@
 
 Discrete measures, cost matrices, transport plans and dual potentials,
 plus the scaling kernel B(u, v), entropy/KL functionals, the l1
-marginal-violation metric, a max-subtracting log-sum-exp and softmax,
-and the marginal-smoothing transform used by the approximation
-pipelines.
+marginal-violation metric, a max-subtracting log-sum-exp, and the
+marginal-smoothing transform used by the approximation pipelines.
 
 All values are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -47,10 +46,6 @@ class ConvergenceError(OtError, RuntimeError):
     def __init__(self, message: str, trace: list | None = None):
         super().__init__(message)
         self.trace = trace if trace is not None else []
-
-
-class ProtocolError(OtError, RuntimeError):
-    """Decentralized round protocol violated (stale neighbor state)."""
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +270,12 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
+def as_potentials(pot) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) as float arrays, from a DualPotentials-like object or a pair."""
+    u, v = (pot.u, pot.v) if hasattr(pot, "u") else pot
+    return np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
@@ -292,16 +293,6 @@ def lse(x, axis=None):
     with np.errstate(divide="ignore"):
         out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
     return np.squeeze(out, axis=axis)[()]
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis in one exp pass: subtract the maximum,
-    exponentiate, divide by the sum.  Overwrites and returns ``z``, a float
-    array the caller owns."""
-    z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
 
 
 def logsumexp(values, weights=None) -> float:
@@ -326,27 +317,16 @@ def logsumexp(values, weights=None) -> float:
     return float(lse(x + np.log(w)))
 
 
-def log_scaling_matrix(u, v, C, gamma: float) -> np.ndarray:
-    """Log-domain scaling kernel: entry (i, j) is u_i + v_j - C_ij / gamma."""
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    C = as_matrix(C)
-    return u[:, None] + v[None, :] - C / gamma
-
-
 def scaling_matrix(pot, C, gamma: float, v=None) -> np.ndarray:
     """Strictly positive kernel B(u, v) with entries exp(u_i + v_j - C_ij/gamma).
 
     ``pot`` is either a DualPotentials pair or the u vector (with ``v``
     passed separately).
     """
-    if v is None:
-        u, v = pot.u, pot.v
-    else:
-        u = pot
-    return np.exp(log_scaling_matrix(u, v, C, gamma))
+    if not (gamma > 0):
+        raise ParameterError("gamma must be positive")
+    u, v = as_potentials(pot if v is None else (pot, v))
+    return np.exp(u[:, None] + v[None, :] - as_matrix(C) / gamma)
 
 
 def _xlogy(x, y) -> np.ndarray:

@@ -24,9 +24,8 @@ from .core import (
     SolveReport,
     as_matrix,
     as_weights,
-    softmax,
 )
-from .barycenter import fenchel_dual_gradients, fenchel_dual_values
+from .kernel import conjugate_pass, fenchel_dual_gradients, fenchel_dual_values
 
 TRACE_COLUMNS = ("round", "consensus_error", "dual_value", "messages")
 
@@ -135,12 +134,7 @@ def default_step_constant(graph: CommunicationGraph, gamma: float) -> float:
 def softmax_column(u, C, gamma: float, xi: int) -> np.ndarray:
     """Softmax over l of (u_l - C_{xi, l}) / gamma: one term of the
     conjugate gradient's p-mixture."""
-    u = as_weights(u)
-    C = as_matrix(C)
-    z = (u - C[xi]) / gamma
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return conjugate_pass(as_weights(u)[None], as_matrix(C)[xi], gamma)[0][0, 0]
 
 
 def sample_columns(P, batch: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,14 +161,11 @@ def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
     (m, batch, n) pass; in expectation each row is the
     ``fenchel_dual_gradients`` row.
     """
-    U = np.asarray(U, dtype=float)
     P = np.asarray(P, dtype=float)
     if np.any(P <= 0):
         raise DomainError("measure must be strictly positive")
     xi = sample_columns(P, batch, rng)
-    Z = U[:, None, :] - as_matrix(C)[xi]
-    Z /= gamma  # [i, b]: (u_i - C[xi_ib]) / gamma
-    return softmax(Z).mean(axis=1)
+    return conjugate_pass(U, as_matrix(C)[xi], gamma)[0].mean(axis=1)
 
 
 def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) -> np.ndarray:

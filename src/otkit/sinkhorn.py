@@ -1,20 +1,21 @@
 """Sinkhorn solver for the entropic transport dual, and the epsilon-pipeline.
 
-One absorption-stabilized matrix-scaling kernel (Schmitzer, "Stabilized
+Every half-step runs on ``kernel.ScalingKernel``, the
+absorption-stabilized matrix-scaling kernel (Schmitzer, "Stabilized
 sparse scaling algorithms for entropy regularized transport problems",
-SIAM J. Sci. Comput. 2019) carries every half-step: alternating exact
-block minimization of the dual, its KL-projection reformulation, and the
-stacked m-measure updates of iterative Bregman projections.  Around it
-sit a computable suboptimality certificate, the stacked smooth dual value
-and the one epsilon-approximation pipeline (``epsilon_pipeline``) that
-Sinkhorn, the accelerated scheme and both barycenter solvers run through:
-short-circuit, schedule, smoothing, solve, rounding and certificate.
+SIAM J. Sci. Comput. 2019): alternating exact block minimization of the
+dual and its KL-projection reformulation.  Around it sit a computable
+suboptimality certificate and the one epsilon-approximation pipeline
+(``epsilon_pipeline``) that Sinkhorn, the accelerated scheme and both
+barycenter solvers run through: short-circuit, schedule, smoothing,
+solve, rounding and certificate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,144 +25,22 @@ from .core import (
     DiscreteMeasure,
     DomainError,
     DualPotentials,
-    NumericalError,
     ParameterError,
     RegularizationParams,
     SolveReport,
     TransportPlan,
     as_matrix,
     as_weights,
-    log_scaling_matrix,
-    lse,
     marginal_violation,
     neg_entropy,
+    scaling_matrix,
     smooth_measure,
     transport_cost,
 )
+from .kernel import ScalingKernel, dual_value, log_kernel, log_masses
 from .rounding import round_to_polytope
 
 TRACE_COLUMNS = ("iteration", "violation", "dual_objective", "certificate")
-
-#: A half-step whose new scalings leave [1/SCALING_BOUND, SCALING_BOUND] is
-#: redone in the log domain.  Within the bound, a kernel entry that
-#: underflows (< 2.3e-308) adds under SCALING_BOUND**2 * 2.3e-308 ~ 2e-248
-#: to a coupling entry, far below what a marginal can resolve.
-SCALING_BOUND = 1e30
-
-
-@dataclass(frozen=True)
-class ScalingKernel:
-    """Absorption-stabilized diagonal scaling of m couplings on one support.
-
-    Coupling l is diag(a_l) K_l diag(b_l) with K_l = exp(u_l + v_l' + L),
-    where L = -C / gamma and (u_l, v_l) are the absorbed log potentials;
-    the dual potentials are (u_l + ln a_l, v_l + ln b_l).  Until something
-    is absorbed the couplings share K = exp(L), and a half-step is one
-    matrix product with the stacked scalings.  A half-step that would
-    leave the scaling bound, or divide by an underflowed sum, instead
-    absorbs the scalings, redoes the update from the log domain and
-    rebuilds K.  Half-steps return a new kernel; arrays are never
-    modified in place.
-    """
-
-    log_kernel: np.ndarray  # (n, n)
-    u: np.ndarray  # (m, n)
-    v: np.ndarray  # (m, n)
-    a: np.ndarray  # (m, n)
-    b: np.ndarray  # (m, n)
-    K: np.ndarray  # (1, n, n) while shared, else (m, n, n)
-    absorptions: int = 0
-
-    @classmethod
-    def start(cls, log_kernel, u, v, absorptions: int = 0, K=None) -> "ScalingKernel":
-        """Kernel at log potentials (u, v), each (m, n), with unit scalings.
-
-        ``K``, when given, is exp(u_l + v_l' + L) already, as (m, n, n).
-        """
-        if K is None and (u.any() or v.any()):
-            K = np.exp(u[:, :, None] + v[:, None, :] + log_kernel)
-        elif K is None:
-            K = np.exp(log_kernel)[None]
-        return cls(log_kernel, u, v, np.ones(u.shape), np.ones(v.shape), K, absorptions)
-
-    def potentials(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.u + np.log(self.a), self.v + np.log(self.b)
-
-    def sums(self, rows: bool) -> np.ndarray:
-        """K_l b_l (rows) or K_l' a_l (columns) for every l, as (m, n)."""
-        K = self.K
-        if K.shape[0] == 1:
-            return self.b @ K[0].T if rows else self.a @ K[0]
-        if rows:
-            return np.matmul(K, self.b[:, :, None])[:, :, 0]
-        return np.matmul(self.a[:, None, :], K)[:, 0, :]
-
-    def marginals(self, rows: bool) -> np.ndarray:
-        """Row (or column) marginals of every coupling, as (m, n), from one
-        matrix product instead of the dense couplings."""
-        return self.a * self.sums(True) if rows else self.b * self.sums(False)
-
-    def plans(self) -> np.ndarray:
-        """The couplings, as (m, n, n)."""
-        return self.a[:, :, None] * self.K * self.b[:, None, :]
-
-    def half_step(self, rows: bool, target=None) -> "ScalingKernel":
-        """Rescale rows (or columns) so that coupling l has marginal target[l].
-
-        ``target`` None imposes on every coupling the geometric mean over l
-        of the unscaled sums, K' e^{u_l} for columns: the barycenter update,
-        which keeps sum_l v_l = 0.
-
-        Raises:
-            NumericalError: if the log-domain update is not finite.
-        """
-        sums = self.sums(rows)
-        with np.errstate(all="ignore"):
-            if target is None:
-                log_sums = np.log(sums)
-                absorbed = self.u if rows else self.v
-                scaling = np.exp((log_sums - absorbed).mean(axis=0) - log_sums)
-            else:
-                scaling = target / sums
-        if 1.0 / SCALING_BOUND <= scaling.min() and scaling.max() <= SCALING_BOUND:
-            return replace(self, a=scaling) if rows else replace(self, b=scaling)
-
-        u, v = self.potentials()
-        if rows:
-            log_sums = lse(self.log_kernel + v[:, None, :], axis=2)
-        else:
-            log_sums = lse(self.log_kernel + u[:, :, None], axis=1)
-        log_target = log_sums.mean(axis=0) if target is None else np.log(target)
-        new = log_target - log_sums
-        if not np.all(np.isfinite(new)):
-            raise NumericalError("scaling half-step produced non-finite dual potentials")
-        u, v = (new, v) if rows else (u, new)
-        return ScalingKernel.start(self.log_kernel, u, v, self.absorptions + 1)
-
-
-def _exp_pass(u, v, log_kernel) -> tuple[np.ndarray, np.ndarray]:
-    """exp(u_l + v_l' + L - top_l) for every l, as a fresh (m, n, n) array
-    whose largest entry per coupling is 1, and the shifts top_l, as (m,)."""
-    B = u[:, :, None] + v[:, None, :]
-    B += log_kernel
-    top = B.max(axis=(1, 2))
-    B -= top[:, None, None]
-    np.exp(B, out=B)
-    return B, top
-
-
-def _dual_value(u, v, log_kernel, scale: float, p, q=None, log_mass=None) -> float:
-    """Stacked smooth dual scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>)
-    with B_l = exp(u_l + v_l' + L), all arrays (m, n); no q term when q is
-    None.  Takes one exp pass unless ``log_mass`` (ln 1' B_l 1) is given."""
-    if log_mass is None:
-        B, top = _exp_pass(u, v, log_kernel)
-        log_mass = np.log(B.sum(axis=(1, 2))) + top
-    value = log_mass - (u * p).sum(axis=1)
-    if q is not None:
-        value -= (v * q).sum(axis=1)
-    return scale * float(value.sum())
-
 
 @dataclass(frozen=True)
 class SinkhornState:
@@ -208,8 +87,12 @@ def _require_positive(w: np.ndarray) -> np.ndarray:
 
 
 def coupled_plan(u, v, C, gamma: float) -> np.ndarray:
-    """Materialize the coupling B(u, v) from the log domain."""
-    return np.exp(log_scaling_matrix(u, v, C, gamma))
+    """Materialize the coupling B(u, v): ``core.scaling_matrix``."""
+    return scaling_matrix(u, C, gamma, v)
+
+
+def _sinkhorn_dual(mass: float, u, v, gamma: float, p, q) -> float:
+    return gamma * (mass - float(np.dot(u, as_weights(p))) - float(np.dot(v, as_weights(q))))
 
 
 def dual_objective(u, v, C, gamma: float, p, q) -> float:
@@ -218,30 +101,16 @@ def dual_objective(u, v, C, gamma: float, p, q) -> float:
     At u = v = 0 with C = 0 this is gamma * n^2, which doubles as an
     evaluation smoke test.
     """
-    logB = log_scaling_matrix(u, v, C, gamma)
-    mass = math.exp(lse(logB))
-    return gamma * (mass - float(np.dot(u, as_weights(p))) - float(np.dot(v, as_weights(q))))
+    u, v = as_weights(u), as_weights(v)
+    mass = math.exp(log_masses(u[None], v[None], log_kernel(C, gamma))[0])
+    return _sinkhorn_dual(mass, u, v, gamma, p, q)
 
 
-def _log_kernel(C, gamma: float) -> np.ndarray:
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    return -as_matrix(C) / gamma
-
-
-@dataclass(frozen=True)
-class _CouplingSums:
-    """A coupling known by its marginals alone."""
-
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-
-
-def _violation(kernel: ScalingKernel, p, q) -> float:
-    """``marginal_violation`` of the kernel's single coupling, from its sums
-    instead of the dense plan."""
-    sums = _CouplingSums(kernel.marginals(rows=True)[0], kernel.marginals(rows=False)[0])
-    return marginal_violation(sums, p, q)
+def _coupling_sums(kernel: ScalingKernel) -> SimpleNamespace:
+    """The kernel's single coupling known by its marginals alone, from two
+    matrix-vector products instead of the dense plan."""
+    rows, cols = kernel.marginals(rows=True)[0], kernel.marginals(rows=False)[0]
+    return SimpleNamespace(row_marginals=rows, col_marginals=cols)
 
 
 def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
@@ -255,10 +124,10 @@ def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
     p = _require_positive(as_weights(p))
     q = _require_positive(as_weights(q))
     rows = state.iteration % 2 == 0
-    kernel = ScalingKernel.start(_log_kernel(C, gamma), state.pot.u[None], state.pot.v[None])
+    kernel = ScalingKernel.start(log_kernel(C, gamma), state.pot.u[None], state.pot.v[None])
     kernel = kernel.half_step(rows, (p if rows else q)[None])
     u, v = kernel.potentials()
-    violation = _violation(kernel, p, q)
+    violation = marginal_violation(_coupling_sums(kernel), p, q)
     return SinkhornState(
         DualPotentials(u[0], v[0]),
         state.iteration + 1,
@@ -328,19 +197,21 @@ def sinkhorn_solve(
     R = RadiusBound.from_instance(C, gamma, p, q).value
 
     n = p.size
-    kernel = ScalingKernel.start(_log_kernel(C, gamma), np.zeros((1, n)), np.zeros((1, n)))
+    kernel = ScalingKernel.start(log_kernel(C, gamma), np.zeros((1, n)), np.zeros((1, n)))
     targets = (p[None], q[None])
     for t in range(1, max_iter + 1):
         kernel = kernel.half_step(t % 2 == 1, targets[(t - 1) % 2])
         if t % check_every == 0 or t == max_iter:
-            violation = _violation(kernel, p, q)
+            sums = _coupling_sums(kernel)
+            violation = marginal_violation(sums, p, q)
             u, v = (x[0] for x in kernel.potentials())
             if trace is not None:
+                mass = float(sums.row_marginals.sum())
                 trace.append(
                     {
                         "iteration": t,
                         "violation": violation,
-                        "dual_objective": dual_objective(u, v, C, gamma, p, q),
+                        "dual_objective": _sinkhorn_dual(mass, u, v, gamma, p, q),
                         "certificate": 0.5 * gamma * R * violation,
                     }
                 )
@@ -498,10 +369,12 @@ def epsilon_pipeline(
     if eps >= 8.0 * c_inf:
         q = P.mean(axis=0) if target is None else target
         plans = [TransportPlan(np.outer(p, q), feasible_for=(p, q)) for p in P]
+        objective = float(np.mean([transport_cost(plan.entries, C) for plan in plans]))
+        # C >= 0 puts the optimum at >= 0, so the objective bounds the excess.
         return q, plans, SolveReport(
-            objective=float(np.mean([transport_cost(plan.entries, C) for plan in plans])),
+            objective=objective,
             iterations=0,
-            certificate=0.0,
+            certificate=objective,
             params=record,
             trace=trace,
             trace_columns=trace_columns,
@@ -574,7 +447,7 @@ def approx_ot_sinkhorn(
             C, params.gamma, ps, qs, params.eps_prime / 2.0, max_iter=max_iter, trace=trace
         )
         couplings = plan.entries[None]
-        phi = _dual_value(
+        phi = dual_value(
             state.pot.u[None], state.pot.v[None], None, params.gamma, ps[None], qs[None],
             log_mass=np.log(couplings.sum(axis=(1, 2))),
         )

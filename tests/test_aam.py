@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from otkit.aam import (
     AamState,
@@ -22,10 +23,13 @@ from otkit.aam import (
 from otkit.barycenter import (
     BarycenterProblem,
     accelerated_ibp,
+    fenchel_dual_gradients,
+    fenchel_dual_values,
     wb_dual_gradients,
     wb_dual_objective,
 )
 from otkit.core import NumericalError, reg_primal_objective, transport_cost
+from otkit.kernel import conjugate_pass, couplings, dual_value
 from otkit.oracle import exact_ot_lp
 from otkit.sinkhorn import approx_ot_sinkhorn
 from otkit.verify import approx_instances
@@ -232,6 +236,40 @@ class TestEngine:
                 assert np.abs(pi[0] - normalized_coupling(u, v, C, gamma)).max() <= 1e-13, label
                 absorptions = state.absorptions
             assert (absorptions > 0) == (label == "absorbing")
+
+    def test_kernel_matches_dense_logsumexp_reference(self):
+        # exp(-C / gamma) underflows at row and column 0; the reference
+        # normalizes every dense log array by scipy's logsumexp instead.
+        C, _, _, _ = _absorbing_instance(50, 7)
+        gamma = 1.0 / 800.0
+        L = -C / gamma
+        assert np.exp(L).min() < 1e-300
+        rng = np.random.default_rng(50)
+        for m in (1, 3):
+            u, v = rng.normal(size=(m, 7)), rng.normal(size=(m, 7))
+            P, Q = rng.dirichlet(np.ones(7), size=m), rng.dirichlet(np.ones(7), size=m)
+            log_b = u[:, :, None] + v[:, None, :] + L
+            ref_log_mass = logsumexp(log_b, axis=(1, 2))
+            ref_pi = np.exp(log_b - ref_log_mass[:, None, None])
+            ref_phi = gamma * (ref_log_mass - (u * P).sum(axis=1) - (v * Q).sum(axis=1)).sum()
+            pi, rows, cols, log_mass = couplings(u, v, L)
+            assert np.abs(pi - ref_pi).max() <= 1e-13
+            assert np.abs(rows - ref_pi.sum(axis=2)).max() <= 1e-13
+            assert np.abs(cols - ref_pi.sum(axis=1)).max() <= 1e-13
+            assert np.abs(log_mass - ref_log_mass).max() <= 1e-13 * np.abs(ref_log_mass).max()
+            assert abs(dual_value(u, v, L, gamma, P, Q) - ref_phi) <= 1e-13 * abs(ref_phi)
+
+            Z = (u[:, None, :] - C) / gamma  # [k, j, i] = (u_ki - C_ji) / gamma
+            ref_lse = logsumexp(Z, axis=2)
+            ref_soft = np.exp(Z - ref_lse[:, :, None])
+            ref_values = gamma * ((P * ref_lse).sum(axis=1) - (P * np.log(P)).sum(axis=1))
+            ref_grads = np.einsum("kj,kji->ki", P, ref_soft)
+            soft, lse_rows = conjugate_pass(u, C, gamma)
+            assert np.abs(soft - ref_soft).max() <= 1e-13
+            assert np.abs(lse_rows - ref_lse).max() <= 1e-13 * np.abs(ref_lse).max()
+            values = fenchel_dual_values(u, P, C, gamma)
+            assert np.abs(values - ref_values).max() <= 1e-13 * np.abs(ref_values).max()
+            assert np.abs(fenchel_dual_gradients(u, P, C, gamma) - ref_grads).max() <= 1e-13
 
     def test_one_pass_matches_barycenter_views(self):
         C, measures = random_measures(46, 3, 6)

@@ -9,6 +9,7 @@ import pytest
 from otkit.aam import accelerated_ot
 from otkit.barycenter import accelerated_ibp, barycenter_ibp
 from otkit.core import DiscreteMeasure, DomainError
+from otkit.oracle import exact_ot_lp
 from otkit.sinkhorn import GAP_KEYS, approx_ot_sinkhorn
 from conftest import random_instance, random_measures
 
@@ -52,7 +53,7 @@ def test_short_circuit(solver, case):
         assert np.array_equal(q, measures[1].weights)
     assert report.params["short_circuit"] is True
     assert report.iterations == 0
-    assert report.certificate == 0.0
+    assert report.certificate == report.objective
     assert report.params["gamma"] is None and report.params["eps_prime"] is None
     assert set(GAP_KEYS) <= set(report.extras)
     costs = []
@@ -63,6 +64,16 @@ def test_short_circuit(solver, case):
     assert report.objective == pytest.approx(np.mean(costs), rel=1e-15, abs=0.0)
     if case == "zero-cost":
         assert report.objective == 0.0
+
+
+@pytest.mark.parametrize("solver", ["sinkhorn", "aam"])
+def test_short_circuit_certificate_bounds_the_excess(solver):
+    # The product plan is far from optimal here; the certificate must say so.
+    C, measures = instance(solver, 80, 5)
+    _, _, report = run(solver, C, measures, 40.0 * C.inf_norm)
+    optimum = exact_ot_lp(C, *(m.weights for m in measures)).objective
+    assert report.objective - optimum > 0.3
+    assert report.certificate >= report.objective - optimum
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

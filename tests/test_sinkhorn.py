@@ -229,6 +229,28 @@ class TestSinkhornSolve:
                 assert abs(row["violation"] - violation) <= 1e-14
             assert abs(state.last_violation - marginal_violation(plan.entries, p, q)) <= 1e-14
 
+    def test_trace_dual_objective_matches_public_view(self):
+        # The trace reads 1' B 1 off the marginals of the stopping check.
+        # exp(-C / gamma) underflows here, so the kernel absorbs its
+        # scalings; a loop over the same half-steps gives the potentials.
+        C = grid_cost(4)
+        rng = np.random.default_rng(18)
+        p, q = rng.uniform(0.5, 1.5, (2, 16))
+        p, q = p / p.sum(), q / q.sum()
+        gamma = C.inf_norm / 2000.0
+        assert np.exp(-C.entries / gamma).min() < 1e-300
+        trace: list[dict] = []
+        state, _ = sinkhorn_solve(C, gamma, p, q, 1e-3, check_every=5, trace=trace)
+        assert state.absorptions > 0 and len(trace) == state.iteration // 5
+        kernel = ScalingKernel.start(-C.entries / gamma, np.zeros((1, 16)), np.zeros((1, 16)))
+        rows = iter(trace)
+        for t in range(1, state.iteration + 1):
+            kernel = kernel.half_step(t % 2 == 1, (p if t % 2 == 1 else q)[None])
+            if t % 5 == 0:
+                u, v = kernel.potentials()
+                expected = dual_objective(u[0], v[0], C, gamma, p, q)
+                assert next(rows)["dual_objective"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_trace_columns(self):
         C, p, q = random_instance(15, 4)
         gamma = 0.3
