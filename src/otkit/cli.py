@@ -1,7 +1,7 @@
 """Single command-line entry point binding all solvers.
 
-Every run validates its manifest (all referenced paths must exist),
-executes one solver, and writes a report JSON with the fixed key order
+Every run loads its inputs, executes one solver, and writes a report
+JSON with the fixed key order
 {objective, iterations, certificate, wall_time, seed, params} plus the
 command's artifacts (plans, barycenters, traces).  Exit codes: 0 success,
 2 convergence failure, 3 input error.
@@ -13,12 +13,11 @@ import argparse
 import re
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import aam, barycenter, decentralized, io, oracle, rounding, sinkhorn, verify
+from . import aam, barycenter, decentralized, io, oracle, rounding, sinkhorn
 from .core import (
     ConvergenceError,
     InputError,
@@ -32,256 +31,183 @@ EXIT_OK = 0
 EXIT_CONVERGENCE = 2
 EXIT_INPUT = 3
 
-COMMANDS = (
-    "sinkhorn",
-    "approx",
-    "aam",
-    "round",
-    "barycenter",
-    "decentralized",
-    "oracle",
-    "verify",
-)
-
-
-@dataclass
-class RunManifest:
-    """Validated description of one run: command, inputs, parameters."""
-
-    command: str
-    inputs: dict[str, Path]
-    params: dict
-    seed: int | None = None
-    output_dir: Path = Path(".")
-    trace_path: Path | None = None
-    quiet: bool = False
-
-    def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise InputError(f"unknown command {self.command!r}")
-        for name, path in self.inputs.items():
-            if not Path(path).exists():
-                raise InputError(f"missing input {name}: {path}")
-
 
 def _natural_key(path: Path):
     digits = re.findall(r"\d+", path.stem)
     return (int(digits[-1]) if digits else 0, path.stem)
 
 
-def _load_measure_dir(directory: Path):
+def _load_measure_dir(directory):
     files = sorted(Path(directory).glob("*.csv"), key=_natural_key)
     if not files:
         raise InputError(f"no measure CSVs found in {directory}")
     return [io.load_measure(f) for f in files]
 
 
-def _write_report(manifest: RunManifest, report: SolveReport, wall_time: float) -> Path:
+def _cost(args):
+    return io.load_cost(args.cost, args.allow_asymmetric)
+
+
+def _transport_inputs(args):
+    """The cost matrix and the source and target weights of a transport run."""
+    return _cost(args), io.load_measure(args.source).weights, io.load_measure(args.target).weights
+
+
+def _output_dir(args) -> Path:
+    """The artifact directory, made at the first write, so that a run that
+    fails on its inputs leaves nothing behind."""
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_report(args, report: SolveReport, wall_time: float) -> None:
     payload = {
         "objective": report.objective,
         "iterations": report.iterations,
         "certificate": report.certificate,
         "wall_time": wall_time,
-        "seed": manifest.seed if manifest.seed is not None else report.seed,
+        "seed": args.seed if args.seed is not None else report.seed,
         "params": {k: report.params[k] for k in sorted(report.params)},
     }
-    out = Path(manifest.output_dir) / "report.json"
+    out = Path(args.output_dir) / "report.json"
     io.write_report_json(out, payload)
-    if manifest.trace_path and report.trace is not None:
-        io.write_trace_csv(manifest.trace_path, report.trace_columns, report.trace)
-    if not manifest.quiet:
+    if args.trace and report.trace is not None:
+        io.write_trace_csv(args.trace, report.trace_columns, report.trace)
+    if not args.quiet:
         print(f"objective {report.objective:.12g}  iterations {report.iterations}")
         print(f"report written to {out}")
-    return out
 
 
-def run(manifest: RunManifest) -> int:
-    """Validate and execute one manifest; returns the process exit code."""
-    try:
-        manifest.validate()
-        Path(manifest.output_dir).mkdir(parents=True, exist_ok=True)
-        started = time.perf_counter()
-        handler = _HANDLERS[manifest.command]
-        report = handler(manifest)
-        if report is not None:
-            _write_report(manifest, report, time.perf_counter() - started)
-        return EXIT_OK
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except (OtError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-
-def _cmd_sinkhorn(manifest: RunManifest) -> SolveReport:
-    C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-    p = io.load_measure(manifest.inputs["source"])
-    q = io.load_measure(manifest.inputs["target"])
-    gamma = manifest.params["gamma"]
-    trace: list[dict] | None = [] if manifest.trace_path else None
+def _cmd_sinkhorn(args) -> SolveReport:
+    C, p, q = _transport_inputs(args)
+    trace = [] if args.trace else None
     state, plan = sinkhorn.sinkhorn_solve(
-        C,
-        gamma,
-        p.weights,
-        q.weights,
-        eps_prime=manifest.params["tol"],
-        max_iter=manifest.params.get("max_iter"),
-        trace=trace,
+        C, args.gamma, p, q, eps_prime=args.tol, max_iter=args.max_iter, trace=trace
     )
-    io.save_matrix(Path(manifest.output_dir) / "plan.csv", plan.entries)
+    io.save_matrix(_output_dir(args) / "plan.csv", plan.entries)
     return SolveReport(
         objective=transport_cost(plan.entries, C),
         iterations=state.iteration,
-        certificate=sinkhorn.reg_gap_certificate(state, C, gamma, p.weights, q.weights),
-        params={"gamma": gamma, "tol": manifest.params["tol"]},
+        certificate=sinkhorn.reg_gap_certificate(state, C, args.gamma, p, q),
+        params={"gamma": args.gamma, "tol": args.tol},
         trace=trace,
         trace_columns=sinkhorn.TRACE_COLUMNS,
     )
 
 
-def _cmd_approx(manifest: RunManifest) -> SolveReport:
-    C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-    p = io.load_measure(manifest.inputs["source"])
-    q = io.load_measure(manifest.inputs["target"])
-    trace: list[dict] | None = [] if manifest.trace_path else None
+def _cmd_approx(args) -> SolveReport:
+    C, p, q = _transport_inputs(args)
     plan, report = sinkhorn.approx_ot_sinkhorn(
-        C, p.weights, q.weights, manifest.params["eps"], trace=trace
+        C, p, q, args.eps, trace=[] if args.trace else None
     )
-    io.save_matrix(Path(manifest.output_dir) / "plan.csv", plan.entries)
+    io.save_matrix(_output_dir(args) / "plan.csv", plan.entries)
     return report
 
 
-def _cmd_aam(manifest: RunManifest) -> SolveReport:
-    C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-    p = io.load_measure(manifest.inputs["source"])
-    q = io.load_measure(manifest.inputs["target"])
-    trace: list[dict] | None = [] if manifest.trace_path else None
-    gamma = manifest.params.get("gamma")
-    if gamma is not None:
+def _cmd_aam(args) -> SolveReport:
+    C, p, q = _transport_inputs(args)
+    trace = [] if args.trace else None
+    if args.gamma is not None:
         # Regularized-mode run: the explicit gamma overrides the schedule.
-        state, report = aam.aam_solve(
-            C, gamma, p.weights, q.weights,
-            gap_tol=manifest.params.get("gap_tol", 1e-8),
-            trace=trace,
-        )
-        io.save_matrix(Path(manifest.output_dir) / "plan.csv", state.plan_avg)
+        state, report = aam.aam_solve(C, args.gamma, p, q, gap_tol=args.gap_tol, trace=trace)
+        io.save_matrix(_output_dir(args) / "plan.csv", state.plan_avg)
         report.params["gamma_override"] = True
-        report.params["eps"] = manifest.params["eps"]
+        report.params["eps"] = args.eps
         return report
-    plan, report = aam.accelerated_ot(
-        C, p.weights, q.weights, manifest.params["eps"], trace=trace
-    )
-    io.save_matrix(Path(manifest.output_dir) / "plan.csv", plan.entries)
+    plan, report = aam.accelerated_ot(C, p, q, args.eps, trace=trace)
+    io.save_matrix(_output_dir(args) / "plan.csv", plan.entries)
     return report
 
 
-def _cmd_round(manifest: RunManifest) -> SolveReport:
-    plan_in = io.load_plan(manifest.inputs["plan"])
-    p = io.load_measure(manifest.inputs["source"])
-    q = io.load_measure(manifest.inputs["target"])
-    violation = marginal_violation(plan_in, p.weights, q.weights)
-    rounded = rounding.round_to_polytope(plan_in, p.weights, q.weights)
-    io.save_matrix(Path(manifest.output_dir) / "plan.csv", rounded.entries)
-    cost_path = manifest.inputs.get("cost")
-    objective = (
-        transport_cost(rounded.entries, io.load_cost(cost_path)) if cost_path else 0.0
-    )
+def _cmd_round(args) -> SolveReport:
+    plan_in = io.load_plan(args.plan)
+    p = io.load_measure(args.source).weights
+    q = io.load_measure(args.target).weights
+    C = _cost(args) if args.cost is not None else None
+    rounded = rounding.round_to_polytope(plan_in, p, q)
+    io.save_matrix(_output_dir(args) / "plan.csv", rounded.entries)
     return SolveReport(
-        objective=objective,
+        objective=transport_cost(rounded.entries, C) if C is not None else 0.0,
         iterations=0,
-        certificate=violation,
+        certificate=marginal_violation(plan_in, p, q),
         params={"l1_moved": float(np.abs(rounded.entries - plan_in).sum())},
     )
 
 
-def _cmd_barycenter(manifest: RunManifest) -> SolveReport:
-    C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-    measures = _load_measure_dir(manifest.inputs["measures"])
-    trace: list[dict] | None = [] if manifest.trace_path else None
-    method = manifest.params["method"]
-    solver = barycenter.barycenter_ibp if method == "ibp" else barycenter.accelerated_ibp
+def _cmd_barycenter(args) -> SolveReport:
+    C = _cost(args)
+    measures = _load_measure_dir(args.measures)
+    solver = barycenter.barycenter_ibp if args.method == "ibp" else barycenter.accelerated_ibp
     q_bar, plans, report = solver(
-        measures, C, manifest.params["eps"], gamma=manifest.params.get("gamma"),
-        trace=trace,
+        measures, C, args.eps, gamma=args.gamma, trace=[] if args.trace else None
     )
-    out = Path(manifest.output_dir)
+    out = _output_dir(args)
     io.save_vector(out / "q_bar.csv", q_bar)
     for l, plan in enumerate(plans, start=1):
         io.save_matrix(out / f"plan_{l}.csv", plan.entries)
     return report
 
 
-def _cmd_decentralized(manifest: RunManifest) -> SolveReport:
-    C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-    measures = _load_measure_dir(manifest.inputs["measures"])
-    edges = io.load_edges(manifest.inputs["graph"])
-    graph = decentralized.graph_laplacian(len(measures), edges)
+def _cmd_decentralized(args) -> SolveReport:
+    C = _cost(args)
+    measures = _load_measure_dir(args.measures)
+    graph = decentralized.graph_laplacian(len(measures), io.load_edges(args.graph))
     config = decentralized.SimConfig(
-        gamma=manifest.params["gamma"],
-        rounds=manifest.params["rounds"],
-        step_L=manifest.params.get("step_L"),
-        stochastic=manifest.params.get("stochastic", False),
-        seed=manifest.seed if manifest.seed is not None else 0,
-        batch=manifest.params.get("batch", 1),
+        gamma=args.gamma,
+        rounds=args.rounds,
+        step_L=args.step_L,
+        stochastic=args.stochastic,
+        seed=args.seed if args.seed is not None else 0,
+        batch=args.batch,
     )
-    trace: list[dict] | None = [] if manifest.trace_path else None
     q_locals, report = decentralized.simulate_decentralized_barycenter(
-        measures, C, graph, config, trace=trace
+        measures, C, graph, config, trace=[] if args.trace else None
     )
-    io.save_matrix(
-        Path(manifest.output_dir) / "q_locals.csv",
-        np.stack([q.weights for q in q_locals]),
-    )
+    io.save_matrix(_output_dir(args) / "q_locals.csv", np.stack([q.weights for q in q_locals]))
     return report
 
 
-def _cmd_oracle(manifest: RunManifest) -> SolveReport:
-    problem = manifest.params["problem"]
-    out = Path(manifest.output_dir)
-    if problem == "ot":
-        C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-        p = io.load_measure(manifest.inputs["source"])
-        q = io.load_measure(manifest.inputs["target"])
-        sol = oracle.exact_ot_lp(C, p.weights, q.weights)
+def _cmd_oracle(args) -> SolveReport:
+    if args.problem == "ot":
+        if args.source is None or args.target is None:
+            raise InputError("the ot problem needs --source and --target")
+        C, p, q = _transport_inputs(args)
+        sol = oracle.exact_ot_lp(C, p, q)
         if sol.status != "optimal":
             raise InputError(f"LP status {sol.status}")
-        io.save_matrix(out / "plan.csv", sol.primal.reshape(p.n, p.n))
+        io.save_matrix(_output_dir(args) / "plan.csv", sol.primal.reshape(p.size, p.size))
         return SolveReport(
             objective=sol.objective, iterations=sol.pivots, certificate=0.0,
             params={"problem": "ot"},
         )
-    C = io.load_cost(manifest.inputs["cost"], manifest.params.get("allow_asymmetric", False))
-    measures = _load_measure_dir(manifest.inputs["measures"])
+    if args.measures is None:
+        raise InputError("the barycenter problem needs --measures")
+    C = _cost(args)
+    measures = _load_measure_dir(args.measures)
     sol = oracle._barycenter_lp([m.weights for m in measures], C)
-    io.save_vector(out / "q_bar.csv", sol.primal[-measures[0].n :])
+    io.save_vector(_output_dir(args) / "q_bar.csv", sol.primal[-measures[0].n :])
     return SolveReport(
         objective=float(sol.objective), iterations=sol.pivots, certificate=0.0,
         params={"problem": "barycenter"},
     )
 
 
-def _cmd_verify(manifest: RunManifest) -> None:
-    only = manifest.params.get("only")
-    printer = None if manifest.quiet else print
-    results = verify.run_all(only=only, printer=printer)
+def _cmd_verify(args) -> None:
+    from . import verify  # imported here so that `import otkit.cli` skips it
+
+    results = verify.run_all(only=args.only, printer=None if args.quiet else print)
     if any(not r.passed for r in results):
         raise ConvergenceError(
             f"{sum(not r.passed for r in results)} acceptance criterion(s) failed"
         )
-    return None
 
 
-_HANDLERS = {
-    "sinkhorn": _cmd_sinkhorn,
-    "approx": _cmd_approx,
-    "aam": _cmd_aam,
-    "round": _cmd_round,
-    "barycenter": _cmd_barycenter,
-    "decentralized": _cmd_decentralized,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-}
+def _criterion_numbers(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of criterion numbers: {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -300,7 +226,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("sinkhorn", parents=[common], help="regularized solve at fixed gamma")
+    def command(name, handler, help):
+        s = sub.add_parser(name, parents=[common], help=help)
+        s.set_defaults(handler=handler)
+        return s
+
+    s = command("sinkhorn", _cmd_sinkhorn, "regularized solve at fixed gamma")
     s.add_argument("--cost", required=True)
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
@@ -308,13 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol", type=float, required=True, help="target l1 marginal violation")
     s.add_argument("--max-iter", type=int, default=None)
 
-    s = sub.add_parser("approx", parents=[common], help="eps-approximate transport cost")
+    s = command("approx", _cmd_approx, "eps-approximate transport cost")
     s.add_argument("--cost", required=True)
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
     s.add_argument("--eps", type=float, required=True)
 
-    s = sub.add_parser("aam", parents=[common], help="accelerated solver pipeline")
+    s = command("aam", _cmd_aam, "accelerated solver pipeline")
     s.add_argument("--cost", required=True)
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
@@ -324,20 +255,20 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gap-tol", type=float, default=1e-8,
                    help="certificate width for regularized-mode stops")
 
-    s = sub.add_parser("round", parents=[common], help="project a plan onto U(p, q)")
+    s = command("round", _cmd_round, "project a plan onto U(p, q)")
     s.add_argument("--plan", required=True)
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
     s.add_argument("--cost", default=None, help="optional cost matrix for the objective")
 
-    s = sub.add_parser("barycenter", parents=[common], help="fixed-support barycenter")
+    s = command("barycenter", _cmd_barycenter, "fixed-support barycenter")
     s.add_argument("--method", choices=("ibp", "aibp"), required=True)
     s.add_argument("--measures", required=True, help="directory of p_*.csv files")
     s.add_argument("--cost", required=True)
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--gamma", type=float, default=None)
 
-    s = sub.add_parser("decentralized", parents=[common], help="graph-distributed barycenter")
+    s = command("decentralized", _cmd_decentralized, "graph-distributed barycenter")
     s.add_argument("--graph", required=True, help="edge list file, one 'i j' per line")
     s.add_argument("--measures", required=True)
     s.add_argument("--cost", required=True)
@@ -347,69 +278,34 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--batch", type=int, default=1)
     s.add_argument("--step-L", type=float, default=None, dest="step_L")
 
-    s = sub.add_parser("oracle", parents=[common], help="exact LP reference solvers")
+    s = command("oracle", _cmd_oracle, "exact LP reference solvers")
     s.add_argument("problem", choices=("ot", "barycenter"))
     s.add_argument("--cost", required=True)
     s.add_argument("--source", default=None)
     s.add_argument("--target", default=None)
     s.add_argument("--measures", default=None)
 
-    s = sub.add_parser("verify", parents=[common], help="run the acceptance suite")
-    s.add_argument("--only", default=None, help="comma-separated criterion numbers")
+    s = command("verify", _cmd_verify, "run the acceptance suite")
+    s.add_argument("--only", type=_criterion_numbers, default=None,
+                   help="comma-separated criterion numbers")
 
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    inputs: dict[str, Path] = {}
-    params: dict = {}
-
-    def take(name, as_input=False):
-        value = getattr(args, name, None)
-        if value is None:
-            return
-        if as_input:
-            inputs[name] = Path(value)
-        else:
-            params[name] = value
-
-    for name in ("cost", "source", "target", "plan", "measures", "graph"):
-        take(name, as_input=True)
-    for name in (
-        "gamma", "tol", "eps", "max_iter", "method",
-        "rounds", "stochastic", "batch", "step_L", "problem",
-        "gap_tol", "allow_asymmetric",
-    ):
-        take(name)
-    if args.command == "oracle" and args.problem == "ot":
-        if "source" not in inputs or "target" not in inputs:
-            raise InputError("oracle ot needs --source and --target")
-    if args.command == "oracle" and args.problem == "barycenter":
-        if "measures" not in inputs:
-            raise InputError("oracle barycenter needs --measures")
-    if args.command == "verify" and args.only:
-        params["only"] = [int(tok) for tok in str(args.only).split(",") if tok]
-
-    return RunManifest(
-        command=args.command,
-        inputs=inputs,
-        params=params,
-        seed=args.seed,
-        output_dir=Path(args.output_dir),
-        trace_path=Path(args.trace) if args.trace else None,
-        quiet=args.quiet,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        manifest = _manifest_from_args(args)
-    except OtError as exc:
+        started = time.perf_counter()
+        report = args.handler(args)
+        if report is not None:
+            _write_report(args, report, time.perf_counter() - started)
+        return EXIT_OK
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except (OtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return run(manifest)
 
 
 if __name__ == "__main__":

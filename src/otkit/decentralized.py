@@ -179,6 +179,8 @@ def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) ->
 def _gradient_estimates(U, P, C, gamma, config, rng) -> np.ndarray:
     if config is None or not config.stochastic:
         return fenchel_dual_gradients(U, P, C, gamma)
+    if rng is None:
+        raise ParameterError("a stochastic round needs a random generator (rng)")
     return stochastic_dual_gradients(U, P, C, gamma, rng, config.batch)
 
 
@@ -186,7 +188,7 @@ def initial_state(P, C, gamma: float, config: SimConfig | None = None,
                   rng: np.random.Generator | None = None) -> NetworkState:
     """Zero dual start: U = 0 and Q the gradient estimate there (the full
     gradient unless ``config`` is stochastic, in which case it draws from
-    ``rng``)."""
+    ``rng``, which is then required)."""
     P = np.asarray(P, dtype=float)
     U = np.zeros_like(P)
     return NetworkState(P=P, U=U, Q=_gradient_estimates(U, P, C, gamma, config, rng))
@@ -210,12 +212,12 @@ def decentralized_dual_step(
     nonzero only at i and its graph neighbors.  The hook exists so tests
     can check, every round, which operator is applied and to what.
     Raises ``DomainError`` in the first round whose estimates are not
-    finite (a diverging run, e.g. from a too small ``step_L``).
+    finite (a diverging run, e.g. from a too small ``step_L``), and
+    ``ParameterError`` for a stochastic ``config`` without ``rng``: the
+    caller's generator carries the draws from one round to the next.
     """
     if state.U.shape[0] != graph.m:
         raise DomainError("one state row per graph node required")
-    if rng is None and config is not None and config.stochastic:
-        rng = np.random.default_rng(config.seed)
     if mix is None:
         mix = np.matmul
     U = state.U - mix(graph.laplacian, state.Q) / step_L

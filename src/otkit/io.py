@@ -29,17 +29,10 @@ def _parse_float(token: str, path, lineno: int) -> float:
 
 def load_measure(path) -> DiscreteMeasure:
     """Read a measure CSV (one nonnegative real per line), auto-normalizing."""
-    path = Path(path)
-    values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            values.append(_parse_float(line, path, lineno))
-    if not values:
-        raise InputError(f"{path}: empty measure file")
-    w = np.asarray(values, dtype=float)
+    m = load_matrix(path)
+    if m.shape[1] != 1:
+        raise InputError(f"{path}: expected one value per line, got {m.shape[1]} columns")
+    w = m[:, 0]
     if np.any(w < 0):
         bad = int(np.argmin(w)) + 1
         raise InputError(f"{path}:{bad}: negative measure entry")

@@ -21,6 +21,7 @@ from .core import (
     as_weights,
     reg_primal_objective,
 )
+from .sinkhorn import sinkhorn_solve
 
 #: Pivot / zero tolerance for the simplex tableau.
 PIVOT_TOL = 1e-10
@@ -287,8 +288,6 @@ def regularized_wb_grid(measures, C, gamma: float, grid_step: float) -> tuple[np
     skipped: the Sinkhorn evaluation needs positive marginals, and the
     entropic minimizer is interior).  Intended for n <= 3 only.
     """
-    from .sinkhorn import sinkhorn_solve  # deferred: circular at import time
-
     C = as_matrix(C)
     ps = [as_weights(m) for m in measures]
     n = ps[0].size

@@ -18,6 +18,7 @@ from . import aam, barycenter, decentralized, oracle, rounding, sinkhorn
 from .core import (
     CostMatrix,
     DiscreteMeasure,
+    ParameterError,
     marginal_violation,
     reg_primal_objective,
     smooth_marginals,
@@ -526,7 +527,11 @@ CRITERIA = {
 
 
 def run_all(only: list[int] | None = None, printer=print) -> list[CriterionResult]:
-    """Run the requested criteria (all by default), printing one line each."""
+    """Run the requested criteria (all by default), printing one line each.
+    Raises ``ParameterError`` for a number that names no criterion."""
+    unknown = sorted(set(only or ()) - set(CRITERIA))
+    if unknown:
+        raise ParameterError(f"unknown acceptance criterion number(s) {unknown}")
     results = []
     for index in sorted(CRITERIA):
         if only and index not in only:

@@ -160,6 +160,30 @@ class TestIbpSolve:
         assert sol.state.iteration == t_ref
         assert np.abs(np.stack(sol.plans) - plans_ref).max() <= 1e-12
 
+    def test_trace_dual_value_takes_no_extra_pass(self, monkeypatch):
+        # The trace row reads 1' B_l 1 off the sweep's column marginals, so
+        # a traced solve makes no log_masses pass of its own.
+        import otkit.barycenter
+
+        rng = np.random.default_rng(62)
+        measures = tuple(DiscreteMeasure(w) for w in rng.uniform(0.5, 1.5, (3, 16)))
+        C = grid_cost(4)
+        problem = BarycenterProblem(measures, C, C.inf_norm / 800.0)
+        calls = []
+        log_masses = otkit.barycenter.log_masses
+
+        def counted(*args):
+            calls.append(1)
+            return log_masses(*args)
+
+        monkeypatch.setattr(otkit.barycenter, "log_masses", counted)
+        trace: list[dict] = []
+        sol = ibp_solve(problem, eps_prime=1e-6, trace=trace)
+        assert sol.state.kernel.absorptions > 0
+        assert calls == []
+        expected = ibp_dual_value(sol.state, problem)
+        assert trace[-1]["dual_value"] == pytest.approx(expected, rel=1e-12)
+
     def test_budget_exhaustion_carries_trace(self):
         from otkit.core import ConvergenceError
 

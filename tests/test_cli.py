@@ -1,4 +1,4 @@
-"""Command-line interface: manifests, artifacts, exit codes, determinism."""
+"""Command-line interface: inputs, artifacts, exit codes, determinism."""
 
 import json
 import subprocess
@@ -151,6 +151,22 @@ class TestCommands:
         assert code == 0
         plan = io.load_plan(out / "plan.csv")
         assert np.allclose(plan, [[0.403226, 0.096774], [0.096774, 0.403226]], atol=1e-6)
+
+    def test_round_honours_allow_asymmetric(self, instance_dir):
+        io.save_matrix(instance_dir / "pi.csv", np.array([[0.5, 0.1], [0.1, 0.3]]))
+        io.save_matrix(instance_dir / "A.csv", np.array([[0.0, 1.0], [2.0, 0.0]]))
+        out = instance_dir / "out"
+        code = cli.main([
+            "round", "--plan", str(instance_dir / "pi.csv"),
+            "--source", str(instance_dir / "p.csv"),
+            "--target", str(instance_dir / "q.csv"),
+            "--cost", str(instance_dir / "A.csv"), "--allow-asymmetric",
+            "--output-dir", str(out), "--quiet",
+        ])
+        assert code == 0
+        plan = io.load_plan(out / "plan.csv")
+        expected = float((plan * np.array([[0.0, 1.0], [2.0, 0.0]])).sum())
+        assert read_report(out)["objective"] == pytest.approx(expected, rel=1e-15)
 
     def test_aam_pipeline_and_override(self, instance_dir):
         out1 = instance_dir / "out1"
@@ -306,25 +322,58 @@ class TestCommands:
         assert code == 0
         assert "criterion 3" in capsys.readouterr().out
 
+    def test_verify_rejects_unknown_criterion(self, tmp_path, capsys):
+        code = cli.main(["verify", "--only", "99", "--output-dir", str(tmp_path)])
+        assert code == 3
+        assert "99" in capsys.readouterr().err
 
-def test_manifest_validation():
-    manifest = cli.RunManifest(
-        command="approx", inputs={"cost": "/nonexistent/C.csv"}, params={"eps": 0.1}
-    )
-    with pytest.raises(InputError, match="missing input"):
-        manifest.validate()
-    with pytest.raises(InputError, match="unknown command"):
-        cli.RunManifest(command="noop", inputs={}, params={}).validate()
+    def test_verify_only_needs_integers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--only", "1,x", "--output-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--only" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_unloaded():
-    # Importing scipy.special alone took about 0.27 s, paid by every `ot` run.
+def test_input_errors_through_main(instance_dir, capsys):
+    # A missing input exits 3, names the file and leaves no output behind.
+    out = instance_dir / "out"
+    io.save_matrix(instance_dir / "pi.csv", np.array([[0.5, 0.1], [0.1, 0.3]]))
+    code = cli.main([
+        "round", "--plan", str(instance_dir / "pi.csv"),
+        "--source", str(instance_dir / "p.csv"),
+        "--target", str(instance_dir / "q.csv"),
+        "--cost", str(instance_dir / "missing.csv"),
+        "--output-dir", str(out), "--quiet",
+    ])
+    assert code == 3
+    assert "missing.csv" in capsys.readouterr().err
+    assert not out.exists()
+    # An unknown command is a usage error, raised by argparse.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["noop"])
+    assert exc.value.code == 2
+
+
+def loaded_after_import(package):
+    """Modules of ``package`` that `import otkit, otkit.cli` loads in a fresh
+    interpreter."""
     src = str(Path(otkit.__file__).resolve().parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import otkit, otkit.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(sorted(m for m in sys.modules if m == {package!r} "
+        f"or m.startswith({package + '.'!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_unloaded():
+    # Importing scipy.special alone took about 0.27 s, paid by every `ot` run.
+    assert loaded_after_import("scipy") == "[]"
+
+
+def test_import_leaves_verify_unloaded():
+    # The acceptance criteria are imported by `ot verify` alone.
+    assert loaded_after_import("otkit.verify") == "[]"
