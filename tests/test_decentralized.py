@@ -197,6 +197,18 @@ class TestDualStep:
         if step_norm < 1e-12:
             assert consensus_error(state.Q) <= 1e-10
 
+    def test_stochastic_round_needs_generator(self):
+        # Reseeding inside each call would repeat the same draws every round.
+        C, measures = random_measures(90, 3, 4)
+        graph = graph_laplacian(3, [(0, 1), (1, 2)])
+        config = SimConfig(gamma=0.3, rounds=4, stochastic=True, seed=5)
+        P = np.stack([mu.weights for mu in measures])
+        with pytest.raises(ParameterError, match="rng"):
+            initial_state(P, C, 0.3, config)
+        state = initial_state(P, C, 0.3)
+        with pytest.raises(ParameterError, match="rng"):
+            decentralized_dual_step(state, graph, C, 0.3, 10.0, config=config)
+
 
 class TestMatchesPerNodeReference:
     """The array round against the per-node fetch loop, round by round."""
@@ -379,18 +391,6 @@ class TestSimulation:
         assert r1.objective == r2.objective
         assert r1.extras == r2.extras
         assert r1.extras["gradient_evals"] == 3 * 2 * 26
-
-    def test_stochastic_round_needs_generator(self):
-        # Reseeding inside each call would repeat the same draws every round.
-        C, measures = random_measures(90, 3, 4)
-        graph = graph_laplacian(3, [(0, 1), (1, 2)])
-        config = SimConfig(gamma=0.3, rounds=4, stochastic=True, seed=5)
-        P = np.stack([mu.weights for mu in measures])
-        with pytest.raises(ParameterError, match="rng"):
-            initial_state(P, C, 0.3, config)
-        state = initial_state(P, C, 0.3)
-        with pytest.raises(ParameterError, match="rng"):
-            decentralized_dual_step(state, graph, C, 0.3, 10.0, config=config)
 
     def test_matches_centralized_ibp(self):
         C, measures = random_measures(91, 4, 6)
