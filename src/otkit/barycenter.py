@@ -5,7 +5,7 @@ with a shared geometric-mean column marginal), its accelerated variant on
 the smooth dual with the zero-sum constraint on the column potentials,
 and the single-measure views of the conjugate of the regularized
 transport value (``kernel.fenchel_dual_values`` and
-``kernel.fenchel_dual_gradients``, which the decentralized solver calls).
+``kernel.fenchel_dual_gradients``).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .core import (
     as_matrix,
     as_weights,
 )
-from .kernel import conjugate_pass, fenchel_dual_gradients, fenchel_dual_values
+from .kernel import conjugate_gradients, conjugate_pass, conjugate_values, fenchel_dual_values
 
 TRACE_COLUMNS = ("round", "consensus_error", "dual_value", "messages")
 
@@ -89,12 +89,16 @@ def condition_number(graph: CommunicationGraph) -> float:
 @dataclass(frozen=True)
 class NetworkState:
     """Every node after ``round_index`` rounds: row i of the (m, n) arrays
-    P, U and Q is node i's measure, dual block and marginal estimate."""
+    P, U and Q is node i's measure, dual block and marginal estimate.
+    ``lse_rows`` holds the log-sum-exps of the conjugate pass that gave a
+    full-gradient Q, from which ``kernel.conjugate_values`` gives each
+    node's dual value at U; it is None after a stochastic round."""
 
     P: np.ndarray
     U: np.ndarray
     Q: np.ndarray
     round_index: int = 0
+    lse_rows: np.ndarray | None = None
 
     def __post_init__(self):
         if not (np.ndim(self.P) == 2 and np.shape(self.P) == np.shape(self.U) == np.shape(self.Q)):
@@ -176,12 +180,15 @@ def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) ->
     return stochastic_dual_gradients(as_weights(u)[None], as_weights(p)[None], C, gamma, rng)[0]
 
 
-def _gradient_estimates(U, P, C, gamma, config, rng) -> np.ndarray:
+def _gradient_estimates(U, P, C, gamma, config, rng) -> tuple[np.ndarray, np.ndarray | None]:
+    """Q at U and, for full gradients, the log-sum-exps of the same
+    conjugate pass (None for stochastic estimates)."""
     if config is None or not config.stochastic:
-        return fenchel_dual_gradients(U, P, C, gamma)
+        soft, lse_rows = conjugate_pass(U, as_matrix(C), gamma)
+        return conjugate_gradients(P, soft), lse_rows
     if rng is None:
         raise ParameterError("a stochastic round needs a random generator (rng)")
-    return stochastic_dual_gradients(U, P, C, gamma, rng, config.batch)
+    return stochastic_dual_gradients(U, P, C, gamma, rng, config.batch), None
 
 
 def initial_state(P, C, gamma: float, config: SimConfig | None = None,
@@ -191,7 +198,8 @@ def initial_state(P, C, gamma: float, config: SimConfig | None = None,
     ``rng``, which is then required)."""
     P = np.asarray(P, dtype=float)
     U = np.zeros_like(P)
-    return NetworkState(P=P, U=U, Q=_gradient_estimates(U, P, C, gamma, config, rng))
+    Q, lse_rows = _gradient_estimates(U, P, C, gamma, config, rng)
+    return NetworkState(P=P, U=U, Q=Q, lse_rows=lse_rows)
 
 
 def decentralized_dual_step(
@@ -221,13 +229,14 @@ def decentralized_dual_step(
     if mix is None:
         mix = np.matmul
     U = state.U - mix(graph.laplacian, state.Q) / step_L
-    Q = _gradient_estimates(U, state.P, C, gamma, config, rng)
+    Q, lse_rows = _gradient_estimates(U, state.P, C, gamma, config, rng)
     if not np.isfinite(Q).all():
         raise DomainError(
             f"marginal estimates are not finite in round {state.round_index + 1}; "
             "the step 1/L is too large"
         )
-    return NetworkState(P=state.P, U=U, Q=Q, round_index=state.round_index + 1)
+    return NetworkState(P=state.P, U=U, Q=Q, round_index=state.round_index + 1,
+                        lse_rows=lse_rows)
 
 
 def consensus_error(Q) -> float:
@@ -260,7 +269,9 @@ def simulate_decentralized_barycenter(
     state = initial_state(np.stack([mu.weights for mu in ms]), C.entries, gamma, config, rng)
 
     def dual_value() -> float:
-        return float(np.mean(fenchel_dual_values(state.U, state.P, C.entries, gamma)))
+        if state.lse_rows is None:
+            return float(np.mean(fenchel_dual_values(state.U, state.P, C.entries, gamma)))
+        return float(np.mean(conjugate_values(state.P, state.lse_rows, gamma)))
 
     messages = 0
     for rnd in range(1, config.rounds + 1):

@@ -222,25 +222,35 @@ def conjugate_pass(U, rows, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         return Z, (np.log(total) + top)[..., 0]
 
 
+def conjugate_values(P, lse_rows, gamma: float) -> np.ndarray:
+    """The per-row dual values gamma <p, lse_rows> - gamma <p, ln p> of two
+    (m, n) stacks, from the log-sum-exps of a ``conjugate_pass`` over the
+    cost matrix."""
+    P = np.asarray(P, dtype=float)
+    if np.any(P <= 0):
+        raise DomainError("measure must be strictly positive")
+    return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
+
+
+def conjugate_gradients(P, soft) -> np.ndarray:
+    """Row k: the P[k]-mixture of the softmax columns soft[k] of a
+    ``conjugate_pass`` over the cost matrix."""
+    return (np.asarray(P, dtype=float)[:, None, :] @ soft)[:, 0, :]
+
+
 def fenchel_dual_values(U, P, C, gamma: float) -> np.ndarray:
     """``fenchel_dual_ot`` at every row pair (U[k], P[k]) of two (m, n)
     stacks, as an (m,) array: gamma <p, lse_i((u_i - C_ji) / gamma)>_j
     - gamma <p, ln p>."""
-    P = np.asarray(P, dtype=float)
-    if np.shape(U) != P.shape:
+    if np.shape(U) != np.shape(P):
         raise DomainError("expected matching (m, n) stacks of duals and measures")
-    if np.any(P <= 0):
-        raise DomainError("measure must be strictly positive")
-    _, lse_rows = conjugate_pass(U, as_matrix(C), gamma)
-    return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
+    return conjugate_values(P, conjugate_pass(U, as_matrix(C), gamma)[1], gamma)
 
 
 def fenchel_dual_gradients(U, P, C, gamma: float) -> np.ndarray:
     """``fenchel_dual_gradient`` at every row pair (U[k], P[k]) of two
     (m, n) stacks, as an (m, n) array: the P[k]-mixture of the softmax
     columns."""
-    P = np.asarray(P, dtype=float)
-    if np.shape(U) != P.shape:
+    if np.shape(U) != np.shape(P):
         raise DomainError("expected matching (m, n) stacks of duals and measures")
-    soft, _ = conjugate_pass(U, as_matrix(C), gamma)
-    return (P[:, None, :] @ soft)[:, 0, :]
+    return conjugate_gradients(P, conjugate_pass(U, as_matrix(C), gamma)[0])

@@ -380,6 +380,37 @@ class TestSimulation:
         for row in trace:
             assert np.isfinite(row["consensus_error"]) and np.isfinite(row["dual_value"])
 
+    def test_traced_full_run_one_conjugate_pass_per_round(self, monkeypatch):
+        import otkit.decentralized
+
+        C, measures = random_measures(93, 16, 12)
+        gamma = 0.1 * C.inf_norm
+        graph = graph_laplacian(16, RING16_EDGES)
+        rounds = 9
+        passes = []
+        counted = otkit.decentralized.conjugate_pass
+
+        def counting(*args):
+            passes.append(1)
+            return counted(*args)
+
+        monkeypatch.setattr(otkit.decentralized, "conjugate_pass", counting)
+        trace: list[dict] = []
+        simulate_decentralized_barycenter(measures, C, graph, SimConfig(gamma=gamma, rounds=rounds),
+                                          trace=trace)
+        assert len(passes) == rounds + 1
+        # the same run, with each round's dual value taken by a pass of its own
+        state = init_state(measures, C, gamma)
+        step_L = default_step_constant(graph, gamma)
+        for row in trace:
+            state = decentralized_dual_step(state, graph, C.entries, gamma, step_L)
+            assert row["consensus_error"] == consensus_error(state.Q)
+            assert row["dual_value"] == float(np.mean(
+                fenchel_dual_values(state.U, state.P, C.entries, gamma)))
+        _, report = simulate_decentralized_barycenter(measures, C, graph,
+                                                      SimConfig(gamma=gamma, rounds=rounds))
+        assert report.objective == trace[-1]["dual_value"]
+
     def test_deterministic_given_seed(self):
         C, measures = random_measures(90, 3, 4)
         graph = graph_laplacian(3, [(0, 1), (1, 2)])

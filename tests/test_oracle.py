@@ -10,6 +10,7 @@ from otkit.oracle import (
     regularized_wb_grid,
     simplex_solve,
     _run_simplex,
+    _transport_simplex,
 )
 from otkit.rounding import round_to_polytope
 from otkit.sinkhorn import sinkhorn_solve
@@ -174,6 +175,67 @@ class TestExactOtLp:
         n = 33
         with pytest.raises(DomainError):
             exact_ot_lp(np.zeros((n, n)), np.full(n, 1 / n), np.full(n, 1 / n))
+
+
+class TestTransportSimplex:
+    @pytest.mark.parametrize("kind", ["random", "uniform", "integer"])
+    def test_pivot_budget(self, kind):
+        # the dense simplex took 670, 2431 and 654 pivots on these instances
+        C, p, q = _transport_instance(kind, 32)
+        first, second = exact_ot_lp(C, p, q), exact_ot_lp(C, p, q)
+        assert first.pivots == second.pivots <= 250
+        assert np.array_equal(first.primal, second.primal)
+
+    def test_matches_dense_simplex_on_ties(self):
+        # integer marginals in {0, 1, 2} (zero-mass rows and columns) and
+        # integer costs in {0, 1, 2}: degenerate pivots and tied reduced
+        # costs everywhere
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 13))
+            C = rng.integers(0, 3, (n, n)).astype(float)
+            p, q = (rng.integers(0, 3, n).astype(float) for _ in range(2))
+            p[rng.integers(n)] += 1.0
+            q[rng.integers(n)] += 1.0
+            p, q = p / p.sum(), q / q.sum()
+            sol = _transport_simplex(C, p, q, max_pivots=20 * n * n)
+            ref = simplex_solve(C.ravel(), _marginal_rows(n), np.concatenate([p, q]))
+            plan = sol.primal.reshape(n, n)
+            assert sol.pivots <= 20 * n * n, seed
+            assert abs(sol.objective - ref.objective) <= 1e-12, seed
+            assert np.abs(plan.sum(axis=1) - p).max() <= 1e-12, seed
+            assert np.abs(plan.sum(axis=0) - q).max() <= 1e-12, seed
+            assert sol.reduced_costs.min() >= -1e-9, seed
+            assert np.abs(sol.primal * sol.reduced_costs).max() <= 1e-9, seed
+
+    def test_pivot_budget_error(self):
+        C, p, q = random_instance(0, 8)
+        with pytest.raises(RuntimeError, match="pivot budget"):
+            _transport_simplex(C, p, q, max_pivots=0)
+
+    def test_unbalanced_masses_infeasible(self):
+        C, p, q = random_instance(79, 6)
+        q = q.copy()
+        q[0] += 1e-6
+        sol = exact_ot_lp(C, p, q)
+        assert sol.status == "infeasible"
+        assert np.isnan(sol.objective)
+        negative = np.array([1.5, -0.5, 0.0, 0.0, 0.0, 0.0])
+        assert exact_ot_lp(C, negative, np.full(6, 1 / 6)).status == "infeasible"
+
+    def test_zero_mass_refusal(self):
+        with pytest.raises(DomainError, match="positive mass"):
+            exact_ot_lp(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+
+    def test_does_not_call_dense_simplex(self, monkeypatch):
+        import otkit.oracle
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_ot_lp called simplex_solve")
+
+        monkeypatch.setattr(otkit.oracle, "simplex_solve", refuse)
+        C, p, q = random_instance(80, 10)
+        assert exact_ot_lp(C, p, q).status == "optimal"
 
 
 class TestExactBarycenterLp:
