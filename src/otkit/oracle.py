@@ -183,7 +183,7 @@ def simplex_solve(c, A, b, max_pivots: int = 200_000) -> LpSolution:
     )
 
 
-def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
+def _transport_simplex(C, p, q, max_pivots: int, observe=None) -> LpSolution:
     """Transportation simplex on the m x n plan: min <C, X> over X >= 0
     with row sums p and column sums q, for nonnegative p and q of one
     total mass.
@@ -192,15 +192,19 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
     column nodes, rooted at row 0, with potentials u (rows) and v
     (columns) such that u_i + v_j = C_ij on every tree cell.  Rows and
     columns of zero mass are set aside before the solve and get the
-    largest potentials that keep their reduced costs nonnegative.
+    largest potentials that keep their reduced costs nonnegative; with
+    no mass on either side the plan is zero.
 
     * Start: the north-west corner places m + n - 1 cells.  Where the row
       and column run out together it moves right, and in the last column
       it takes the rest of the row, so each cell of zero mass hangs below
       its row (its column is the child): the tree is *strongly feasible*.
-    * Entering cell: the most negative reduced cost of C - u (+) v, found
-      in one vectorized pass; the solve is optimal once that minimum is
-      >= -``PIVOT_TOL``.
+    * Entering cell: the most negative reduced cost of C - u (+) v over
+      the cells off the tree, found in one vectorized pass; the solve is
+      optimal once that minimum is >= -``PIVOT_TOL``.  Tree cells are
+      left out: their reduced costs are zero only up to the rounding of
+      u and v, which grows with |C|, and a tree cell taken as entering
+      would close no cycle.
     * Leaving cell: the entering cell (k, l) closes a cycle through the
       apex w where the tree paths of row k and column l meet.  Walk it
       from w down to column l, across (k, l), and from row k up to w.
@@ -236,12 +240,21 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
     ``pivots`` counts basis changes: the cells the north-west corner
     places (each replaces an artificial, as a phase-1 pivot of the dense
     simplex would) plus the tree pivots.
+
+    ``observe``, if given, is called with the tree after the start and
+    after every pivot: a dict from each tree cell (i, j), indexed within
+    the rows and columns of positive mass, to its mass and whether its
+    column is the child.
     """
     C = as_matrix(C)
     p = as_weights(p)
     q = as_weights(q)
     rows = np.flatnonzero(p > 0)
     cols = np.flatnonzero(q > 0)
+    if rows.size == 0 or cols.size == 0:
+        # Nothing to move: the zero plan, with v_j = min_i C_ij.
+        reduced = C - C.min(axis=0)
+        return LpSolution(0.0, np.zeros(C.size), "optimal", reduced.ravel())
     sub = C[np.ix_(rows, cols)]
     cost = sub.tolist()
     a, b = p[rows].tolist(), q[cols].tolist()
@@ -253,6 +266,7 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
     depth = [0] * (m + n)
     adjacent = [[] for _ in range(m + n)]
     mass = {}
+    tree = np.zeros((m, n), dtype=bool)
 
     def cell(node):
         return (node, parent[node] - m) if node < m else (parent[node], node - m)
@@ -269,11 +283,16 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
         adjacent[x].append(y)
         adjacent[y].append(x)
 
+    def report():
+        if observe is not None:
+            observe({cell(c): (mass[cell(c)], c >= m) for c in range(1, m + n)})
+
     i = j = 0
     node, above = m, 0
     while True:
         x = a[i] if j == n - 1 else min(a[i], b[j])
         mass[i, j] = x
+        tree[i, j] = True
         a[i] -= x
         b[j] -= x
         link(node, above)
@@ -287,8 +306,10 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
             j += 1
             node, above = m + j, i
 
+    report()
     for pivots in range(max_pivots + 1):
         reduced = sub - u[:, None] - v
+        reduced[tree] = 0.0
         k, l = divmod(int(reduced.argmin()), n)
         if reduced[k, l] >= -PIVOT_TOL:
             break
@@ -317,6 +338,8 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
                 mass[cell(c)] += -theta if t % 2 == 0 else theta
         mass[k, l] = theta
         del mass[cell(out)]
+        tree[k, l] = True
+        tree[cell(out)] = False
         adjacent[out].remove(parent[out])
         adjacent[parent[out]].remove(out)
         link(k, m + l)
@@ -326,6 +349,7 @@ def _transport_simplex(C, p, q, max_pivots: int) -> LpSolution:
             node, above = stack.pop()
             hang(node, above)
             stack.extend((c, node) for c in adjacent[node] if c != above)
+        report()
 
     plan = np.zeros(C.shape)
     for (i, j), x in mass.items():
@@ -366,8 +390,6 @@ def exact_ot_lp(C, p, q) -> LpSolution:
         raise DomainError("cost/marginal dimensions disagree")
     if (p < 0).any() or (q < 0).any() or not abs(p.sum() - q.sum()) <= SOLUTION_TOL:
         return LpSolution(float("nan"), np.full(n * n, np.nan), "infeasible")
-    if not ((p > 0).any() and (q > 0).any()):
-        raise DomainError("the marginals need positive mass")
 
     sol = _transport_simplex(C, p, q, max_pivots=200_000)
     plan = sol.primal.reshape(n, n)

@@ -177,6 +177,19 @@ class TestExactOtLp:
             exact_ot_lp(np.zeros((n, n)), np.full(n, 1 / n), np.full(n, 1 / n))
 
 
+def _tied_instance(seed):
+    """Integer marginals in {0, 1, 2} (zero-mass rows and columns) and
+    integer costs in {0, 1, 2}: degenerate pivots and tied reduced costs
+    everywhere."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    C = rng.integers(0, 3, (n, n)).astype(float)
+    p, q = (rng.integers(0, 3, n).astype(float) for _ in range(2))
+    p[rng.integers(n)] += 1.0
+    q[rng.integers(n)] += 1.0
+    return C, p / p.sum(), q / q.sum()
+
+
 class TestTransportSimplex:
     @pytest.mark.parametrize("kind", ["random", "uniform", "integer"])
     def test_pivot_budget(self, kind):
@@ -187,17 +200,9 @@ class TestTransportSimplex:
         assert np.array_equal(first.primal, second.primal)
 
     def test_matches_dense_simplex_on_ties(self):
-        # integer marginals in {0, 1, 2} (zero-mass rows and columns) and
-        # integer costs in {0, 1, 2}: degenerate pivots and tied reduced
-        # costs everywhere
         for seed in range(200):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 13))
-            C = rng.integers(0, 3, (n, n)).astype(float)
-            p, q = (rng.integers(0, 3, n).astype(float) for _ in range(2))
-            p[rng.integers(n)] += 1.0
-            q[rng.integers(n)] += 1.0
-            p, q = p / p.sum(), q / q.sum()
+            C, p, q = _tied_instance(seed)
+            n = p.size
             sol = _transport_simplex(C, p, q, max_pivots=20 * n * n)
             ref = simplex_solve(C.ravel(), _marginal_rows(n), np.concatenate([p, q]))
             plan = sol.primal.reshape(n, n)
@@ -207,6 +212,39 @@ class TestTransportSimplex:
             assert np.abs(plan.sum(axis=0) - q).max() <= 1e-12, seed
             assert sol.reduced_costs.min() >= -1e-9, seed
             assert np.abs(sol.primal * sol.reduced_costs).max() <= 1e-9, seed
+
+    def test_strongly_feasible_after_every_pivot(self):
+        # Cunningham's leaving rule: every tree cell of zero mass has its
+        # column as the child.  Leaving by the first blocking cell instead
+        # of the last breaks this on tied instances.
+        trees = degenerate = 0
+
+        def check(tree):
+            nonlocal trees, degenerate
+            trees += 1
+            for cell, (mass, column_is_child) in tree.items():
+                assert mass >= 0.0, cell
+                if mass == 0.0:
+                    degenerate += 1
+                    assert column_is_child, cell
+
+        for seed in range(200):
+            C, p, q = _tied_instance(seed)
+            _transport_simplex(C, p, q, max_pivots=20 * p.size ** 2, observe=check)
+        assert trees > 400 and degenerate > 0
+
+    def test_large_costs(self):
+        # u_i + v_j = C_ij holds on tree cells only up to rounding, which
+        # grows with |C|: a tree cell must never be taken as entering.
+        for seed in range(40):
+            n = 4 + seed % 13
+            C, p, q = random_instance(seed, n)
+            C = C.entries * 1e10
+            sol = exact_ot_lp(C, p, q)
+            ref = simplex_solve(C.ravel(), _marginal_rows(n), np.concatenate([p, q]))
+            assert sol.status == "optimal", seed
+            assert abs(sol.objective - ref.objective) <= 1e-9 * ref.objective, seed
+            assert sol.reduced_costs.min() >= -1e-9 * C.max(), seed
 
     def test_pivot_budget_error(self):
         C, p, q = random_instance(0, 8)
@@ -223,9 +261,12 @@ class TestTransportSimplex:
         negative = np.array([1.5, -0.5, 0.0, 0.0, 0.0, 0.0])
         assert exact_ot_lp(C, negative, np.full(6, 1 / 6)).status == "infeasible"
 
-    def test_zero_mass_refusal(self):
-        with pytest.raises(DomainError, match="positive mass"):
-            exact_ot_lp(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+    def test_zero_mass_zero_plan(self):
+        C = np.arange(9.0).reshape(3, 3)
+        sol = exact_ot_lp(C, np.zeros(3), np.zeros(3))
+        assert sol.status == "optimal" and sol.objective == 0.0
+        assert np.array_equal(sol.primal, np.zeros(9))
+        assert sol.reduced_costs.min() == 0.0
 
     def test_does_not_call_dense_simplex(self, monkeypatch):
         import otkit.oracle
