@@ -19,7 +19,6 @@ from .core import (
     marginal_violation,
     neg_entropy,
     reg_primal_objective,
-    scaling_matrix,
     smooth_marginals,
     transport_cost,
 )

@@ -220,9 +220,7 @@ def _dual_at(u, v, log_kernel, scale: float, p, q=None):
     return phi, gu, gv, pi, log_mass
 
 
-def _aam_step(
-    state: AamState, log_kernel, scale: float, p, q=None, shift_normalize: bool = True
-) -> AamState:
+def _aam_step(state: AamState, log_kernel, scale: float, p, q=None) -> AamState:
     """One iteration of accelerated alternating minimization on the stacked
     smooth dual scale * sum_l (ln 1' B_l 1 - <u_l, p_l> - <v_l, q_l>).
 
@@ -241,15 +239,14 @@ def _aam_step(
     eta, zeta = state.eta.reshape(m, 2 * n), state.zeta.reshape(m, 2 * n)
     evals = 0
     if np.array_equal(eta, zeta):
-        mu = eta.copy()
+        mu = eta
     else:
         d = zeta - eta
         beta, evals = newton_line_search(
             log_kernel, eta[:, :n], eta[:, n:], d[:, :n], d[:, n:], scale, p, q
         )
         mu = beta * zeta + (1.0 - beta) * eta
-    if shift_normalize:
-        mu = _shift_blocks(mu, n, q is not None)
+    mu = _shift_blocks(mu, n, q is not None)
 
     mu_u, mu_v = mu[:, :n], mu[:, n:]
     phi_mu, gu, gv, pi_mu, log_mass = _dual_at(mu_u, mu_v, log_kernel, scale, p, q)
@@ -295,21 +292,16 @@ def _aam_step(
     a = (delta + math.sqrt(delta * delta + 2.0 * delta * A * gsq)) / gsq
     A_new = A + a
 
-    zeta_new = zeta - a * np.concatenate([gu, gv], axis=1)
-    if shift_normalize:
-        zeta_new = _shift_blocks(zeta_new, n, q is not None)
+    zeta_new = _shift_blocks(zeta - a * np.concatenate([gu, gv], axis=1), n, q is not None)
 
     plan_avg = pi_mu if A_new == 0.0 else (a * pi_mu + A * state.plan_avg) / A_new
     return AamState(zeta=zeta_new.reshape(shape), A_big=A_new, plan_avg=plan_avg, **common)
 
 
-def aam_iterate(state: AamState, C, gamma: float, p, q, shift_normalize: bool = True) -> AamState:
+def aam_iterate(state: AamState, C, gamma: float, p, q) -> AamState:
     """One full iteration of the accelerated alternating minimization: the
     m = 1 view of the stacked engine, with (2n,) iterates."""
-    return _aam_step(
-        state, log_kernel(C, gamma), gamma, as_weights(p)[None], as_weights(q)[None],
-        shift_normalize,
-    )
+    return _aam_step(state, log_kernel(C, gamma), gamma, as_weights(p)[None], as_weights(q)[None])
 
 
 def aam_solve(
@@ -321,7 +313,6 @@ def aam_solve(
     max_iter: int = 200_000,
     check_every: int = 10,
     trace: list | None = None,
-    shift_normalize: bool = True,
 ) -> tuple[AamState, SolveReport]:
     """Standalone regularized solve with a two-sided optimality certificate
     (the accelerated scheme has no intrinsic stopping rule, so one is
@@ -338,7 +329,7 @@ def aam_solve(
     q = as_weights(q)
     state = AamState.initial(C, gamma)
     for _ in range(max_iter):
-        state = aam_iterate(state, C, gamma, p, q, shift_normalize=shift_normalize)
+        state = aam_iterate(state, C, gamma, p, q)
         if state.iteration % check_every != 0:
             continue
         phi_eta = state.phi_eta

@@ -3,8 +3,9 @@
 Every run loads its inputs, executes one solver, and writes a report
 JSON with the fixed key order
 {objective, iterations, certificate, wall_time, seed, params} plus the
-command's artifacts (plans, barycenters, traces).  Exit codes: 0 success,
-2 convergence failure, 3 input error.
+command's artifacts (plans, barycenters, traces).  Each command takes
+only the flags it reads.  Exit codes: 0 success, 2 convergence failure,
+3 input or usage error.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def _write_report(args, report: SolveReport, wall_time: float) -> None:
         "iterations": report.iterations,
         "certificate": report.certificate,
         "wall_time": wall_time,
-        "seed": args.seed if args.seed is not None else report.seed,
+        "seed": report.seed,
         "params": {k: report.params[k] for k in sorted(report.params)},
     }
     out = Path(args.output_dir) / "report.json"
     io.write_report_json(out, payload)
-    if args.trace and report.trace is not None:
+    if report.trace is not None:
         io.write_trace_csv(args.trace, report.trace_columns, report.trace)
     if not args.quiet:
         print(f"objective {report.objective:.12g}  iterations {report.iterations}")
@@ -158,7 +159,7 @@ def _cmd_decentralized(args) -> SolveReport:
         rounds=args.rounds,
         step_L=args.step_L,
         stochastic=args.stochastic,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         batch=args.batch,
     )
     q_locals, report = decentralized.simulate_decentralized_barycenter(
@@ -211,14 +212,6 @@ def _criterion_numbers(text: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output-dir", default=".", help="directory for artifacts")
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--quiet", action="store_true")
-    common.add_argument("--trace", default=None, help="write a trace CSV here")
-    common.add_argument("--allow-asymmetric", action="store_true",
-                        help="accept asymmetric cost matrices")
-
     parser = argparse.ArgumentParser(
         prog="ot",
         description="Entropic and approximate optimal transport, barycenters, "
@@ -226,9 +219,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
-        s = sub.add_parser(name, parents=[common], help=help)
+    def command(name, handler, help, writes=True, traces=True):
+        s = sub.add_parser(name, help=help)
         s.set_defaults(handler=handler)
+        s.add_argument("--quiet", action="store_true")
+        if writes:
+            s.add_argument("--output-dir", default=".", help="directory for artifacts")
+            s.add_argument("--allow-asymmetric", action="store_true",
+                           help="accept asymmetric cost matrices")
+        if traces:
+            s.add_argument("--trace", default=None, help="write a trace CSV here")
         return s
 
     s = command("sinkhorn", _cmd_sinkhorn, "regularized solve at fixed gamma")
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gap-tol", type=float, default=1e-8,
                    help="certificate width for regularized-mode stops")
 
-    s = command("round", _cmd_round, "project a plan onto U(p, q)")
+    s = command("round", _cmd_round, "project a plan onto U(p, q)", traces=False)
     s.add_argument("--plan", required=True)
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
@@ -277,15 +277,16 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stochastic", action="store_true")
     s.add_argument("--batch", type=int, default=1)
     s.add_argument("--step-L", type=float, default=None, dest="step_L")
+    s.add_argument("--seed", type=int, default=0, help="seed of the stochastic gradient's draws")
 
-    s = command("oracle", _cmd_oracle, "exact LP reference solvers")
+    s = command("oracle", _cmd_oracle, "exact LP reference solvers", traces=False)
     s.add_argument("problem", choices=("ot", "barycenter"))
     s.add_argument("--cost", required=True)
     s.add_argument("--source", default=None)
     s.add_argument("--target", default=None)
     s.add_argument("--measures", default=None)
 
-    s = command("verify", _cmd_verify, "run the acceptance suite")
+    s = command("verify", _cmd_verify, "run the acceptance suite", writes=False, traces=False)
     s.add_argument("--only", type=_criterion_numbers, default=None,
                    help="comma-separated criterion numbers")
 
@@ -293,7 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage or the help; exit 2 is kept for
+        # convergence failures.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         started = time.perf_counter()
         report = args.handler(args)

@@ -1,9 +1,10 @@
 """Shared numerical primitives for entropic optimal transport.
 
 Discrete measures, cost matrices, transport plans and dual potentials,
-plus the scaling kernel B(u, v), entropy/KL functionals, the l1
-marginal-violation metric, a max-subtracting log-sum-exp, and the
-marginal-smoothing transform used by the approximation pipelines.
+plus entropy/KL functionals, the l1 marginal-violation metric, a
+max-subtracting log-sum-exp, and the marginal-smoothing transform used
+by the approximation pipelines.  The coupling B(u, v) is built by
+``kernel.ScalingKernel`` (``sinkhorn.coupled_plan``).
 
 All values are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -315,18 +316,6 @@ def logsumexp(values, weights=None) -> float:
     if np.any(w <= 0):
         raise DomainError("logsumexp weights must be strictly positive")
     return float(lse(x + np.log(w)))
-
-
-def scaling_matrix(pot, C, gamma: float, v=None) -> np.ndarray:
-    """Strictly positive kernel B(u, v) with entries exp(u_i + v_j - C_ij/gamma).
-
-    ``pot`` is either a DualPotentials pair or the u vector (with ``v``
-    passed separately).
-    """
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    u, v = as_potentials(pot if v is None else (pot, v))
-    return np.exp(u[:, None] + v[None, :] - as_matrix(C) / gamma)
 
 
 def _xlogy(x, y) -> np.ndarray:

@@ -33,7 +33,6 @@ from .core import (
     as_weights,
     marginal_violation,
     neg_entropy,
-    scaling_matrix,
     smooth_measure,
     transport_cost,
 )
@@ -87,8 +86,9 @@ def _require_positive(w: np.ndarray) -> np.ndarray:
 
 
 def coupled_plan(u, v, C, gamma: float) -> np.ndarray:
-    """Materialize the coupling B(u, v): ``core.scaling_matrix``."""
-    return scaling_matrix(u, C, gamma, v)
+    """The coupling B(u, v) = exp(u_i + v_j - C_ij / gamma), built by the
+    scaling kernel."""
+    return ScalingKernel.start(log_kernel(C, gamma), u[None], v[None]).K[0]
 
 
 def _sinkhorn_dual(mass: float, u, v, gamma: float, p, q) -> float:

@@ -188,19 +188,6 @@ class TestIterate:
                 normalized_coupling(u, v, C, 0.3) - normalized_coupling(us, vs, C, 0.3)
             ).max() <= 1e-12
 
-    def test_shift_normalization_leaves_trajectory_unchanged(self):
-        C, p, q = random_instance(38, 5)
-        gamma = 0.25 * C.inf_norm
-        s_on = AamState.initial(C, gamma)
-        s_off = AamState.initial(C, gamma)
-        for _ in range(30):
-            s_on = aam_iterate(s_on, C, gamma, p, q, shift_normalize=True)
-            s_off = aam_iterate(s_off, C, gamma, p, q, shift_normalize=False)
-            assert _phi(s_on.eta, C, gamma, p, q) == pytest.approx(
-                _phi(s_off.eta, C, gamma, p, q), abs=1e-9
-            )
-            assert np.abs(s_on.plan_avg - s_off.plan_avg).max() <= 1e-9
-
 
 def _absorbing_instance(seed, n):
     """Support point 0 lies at cost >= 1 from every point, itself included,

@@ -317,20 +317,19 @@ class TestCommands:
         keys = list(read_report(out))
         assert keys == ["objective", "iterations", "certificate", "wall_time", "seed", "params"]
 
-    def test_verify_single_fast_criterion(self, tmp_path, capsys):
-        code = cli.main(["verify", "--only", "3", "--output-dir", str(tmp_path)])
+    def test_verify_single_fast_criterion(self, capsys):
+        code = cli.main(["verify", "--only", "3"])
         assert code == 0
         assert "criterion 3" in capsys.readouterr().out
 
-    def test_verify_rejects_unknown_criterion(self, tmp_path, capsys):
-        code = cli.main(["verify", "--only", "99", "--output-dir", str(tmp_path)])
+    def test_verify_rejects_unknown_criterion(self, capsys):
+        code = cli.main(["verify", "--only", "99"])
         assert code == 3
         assert "99" in capsys.readouterr().err
 
-    def test_verify_only_needs_integers(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--only", "1,x", "--output-dir", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_verify_only_needs_integers(self, capsys):
+        code = cli.main(["verify", "--only", "1,x"])
+        assert code == 3
         assert "--only" in capsys.readouterr().err
 
 
@@ -348,11 +347,93 @@ def test_input_errors_through_main(instance_dir, capsys):
     assert code == 3
     assert "missing.csv" in capsys.readouterr().err
     assert not out.exists()
-    # An unknown command is a usage error, raised by argparse.
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["noop"])
-    assert exc.value.code == 2
+    # An unknown command is a usage error, which exits 3 too.
+    assert cli.main(["noop"]) == 3
 
+
+# Each command's argv, valid as it stands; the flag after it is one the
+# command does not read.
+UNREAD_FLAGS = [
+    (["sinkhorn", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv",
+      "--gamma", "0.1", "--tol", "1e-6"], ["--seed", "3"]),
+    (["approx", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv",
+      "--eps", "0.05"], ["--seed", "3"]),
+    (["aam", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv",
+      "--eps", "0.05"], ["--seed", "3"]),
+    (["barycenter", "--method", "ibp", "--measures", "m", "--cost", "C.csv",
+      "--eps", "0.05"], ["--seed", "3"]),
+    (["round", "--plan", "pi.csv", "--source", "p.csv", "--target", "q.csv"],
+     ["--trace", "t.csv"]),
+    (["round", "--plan", "pi.csv", "--source", "p.csv", "--target", "q.csv"],
+     ["--seed", "3"]),
+    (["oracle", "ot", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv"],
+     ["--trace", "t.csv"]),
+    (["oracle", "ot", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv"],
+     ["--seed", "3"]),
+    (["verify", "--only", "3"], ["--output-dir", "d"]),
+    (["verify", "--only", "3"], ["--trace", "t.csv"]),
+    (["verify", "--only", "3"], ["--seed", "3"]),
+    (["verify", "--only", "3"], ["--allow-asymmetric"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag", UNREAD_FLAGS, ids=[f"{a[0]}{f[0]}" for a, f in UNREAD_FLAGS]
+)
+def test_unread_flag_is_a_usage_error(argv, flag, capsys):
+    cli._build_parser().parse_args(argv)
+    assert cli.main(argv + flag) == 3
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag[0] in err
+
+
+def _ring_instance(tmp_path):
+    """Three measures on four points, a path graph and a symmetric cost,
+    written under ``tmp_path``; returns the stochastic decentralized argv
+    without its output flags."""
+    rng = np.random.default_rng(1)
+    mdir = tmp_path / "measures"
+    mdir.mkdir(parents=True)
+    for idx in range(1, 4):
+        w = rng.uniform(0.5, 1.5, 4)
+        io.save_vector(mdir / f"p_{idx}.csv", w / w.sum())
+    U = rng.uniform(0.2, 1.0, (4, 4))
+    C = 0.5 * (U + U.T)
+    np.fill_diagonal(C, 0.0)
+    io.save_matrix(tmp_path / "C.csv", C)
+    (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+    return [
+        "decentralized", "--graph", str(tmp_path / "g.txt"), "--measures", str(mdir),
+        "--cost", str(tmp_path / "C.csv"), "--gamma", "0.1", "--rounds", "40",
+        "--stochastic", "--quiet",
+    ]
+
+
+def test_report_seed_only_where_seeded(instance_dir):
+    out = instance_dir / "out"
+    assert cli.main([
+        "approx", "--cost", str(instance_dir / "C.csv"),
+        "--source", str(instance_dir / "p.csv"),
+        "--target", str(instance_dir / "q.csv"),
+        "--eps", "0.05", "--output-dir", str(out), "--quiet",
+    ]) == 0
+    assert read_report(out)["seed"] is None
+    ring = instance_dir / "ring"
+    assert cli.main(_ring_instance(ring) + ["--seed", "3", "--output-dir", str(out)]) == 0
+    assert read_report(out)["seed"] == 3
+
+
+def test_decentralized_seed_defaults_to_0(tmp_path):
+    argv = _ring_instance(tmp_path)
+    outs = []
+    for name, extra in (("default", []), ("zero", ["--seed", "0"])):
+        out = tmp_path / name
+        trace = tmp_path / f"{name}.csv"
+        assert cli.main(argv + extra + ["--output-dir", str(out), "--trace", str(trace)]) == 0
+        report = [ln for ln in (out / "report.json").read_text().splitlines()
+                  if '"wall_time"' not in ln]
+        outs.append((report, (out / "q_locals.csv").read_bytes(), trace.read_bytes()))
+    assert outs[0] == outs[1]
 
 def loaded_after_import(package):
     """Modules of ``package`` that `import otkit, otkit.cli` loads in a fresh

@@ -21,10 +21,10 @@ from otkit.core import (
     lse,
     marginal_violation,
     neg_entropy,
-    scaling_matrix,
     smooth_marginals,
     transport_cost,
 )
+from otkit.sinkhorn import coupled_plan
 
 
 class TestDiscreteMeasure:
@@ -140,32 +140,32 @@ class TestLogsumexp:
 
 
 class TestScalingMatrix:
+    """The coupling B(u, v) = exp(u_i + v_j - C_ij / gamma)."""
+
     def test_zero_everything_gives_ones(self):
-        pot = DualPotentials.zeros(3)
-        B = scaling_matrix(pot, np.zeros((3, 3)), gamma=1.0)
+        B = coupled_plan(np.zeros(3), np.zeros(3), np.zeros((3, 3)), gamma=1.0)
         assert np.allclose(B, 1.0)
 
     def test_cost_equal_gamma(self):
-        pot = DualPotentials.zeros(2)
-        B = scaling_matrix(pot, np.full((2, 2), 0.7), gamma=0.7)
+        B = coupled_plan(np.zeros(2), np.zeros(2), np.full((2, 2), 0.7), gamma=0.7)
         assert np.allclose(B, math.exp(-1.0))
 
     def test_row_scaling(self):
-        pot = DualPotentials(np.array([math.log(2.0), 0.0]), np.zeros(2))
-        B = scaling_matrix(pot, np.zeros((2, 2)), gamma=1.0)
+        u = np.array([math.log(2.0), 0.0])
+        B = coupled_plan(u, np.zeros(2), np.zeros((2, 2)), gamma=1.0)
         assert np.allclose(B, [[2.0, 2.0], [1.0, 1.0]])
 
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ParameterError):
-            scaling_matrix(DualPotentials.zeros(2), np.zeros((2, 2)), gamma=0.0)
+            coupled_plan(np.zeros(2), np.zeros(2), np.zeros((2, 2)), gamma=0.0)
 
     def test_shift_multiplies(self):
         rng = np.random.default_rng(0)
         u, v = rng.normal(size=4), rng.normal(size=4)
         C = rng.uniform(size=(4, 4))
         C = 0.5 * (C + C.T)
-        base = scaling_matrix(DualPotentials(u, v), C, 0.5)
-        shifted = scaling_matrix(DualPotentials(u + 0.3, v - 0.1), C, 0.5)
+        base = coupled_plan(u, v, C, 0.5)
+        shifted = coupled_plan(u + 0.3, v - 0.1, C, 0.5)
         assert np.allclose(shifted, math.exp(0.2) * base, rtol=1e-12)
 
 
