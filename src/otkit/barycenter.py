@@ -39,6 +39,7 @@ from .kernel import (
 from .sinkhorn import (
     AIBP_SCHEDULE,
     IBP_SCHEDULE,
+    RadiusBound,
     _require_positive,
     default_max_iter,
     epsilon_pipeline,
@@ -65,7 +66,7 @@ class BarycenterProblem:
         n = measures[0].n
         if any(m.n != n for m in measures):
             raise DomainError("all measures must share the same support size")
-        cost = self.cost if isinstance(self.cost, CostMatrix) else CostMatrix(self.cost)
+        cost = CostMatrix(self.cost)
         if cost.n != n:
             raise DomainError("cost matrix size must match the measure support")
         if not (self.gamma > 0):
@@ -166,7 +167,8 @@ def ibp_solve(
         raise ParameterError("eps_prime must be positive")
     p = _require_positive(problem.measure_stack())
     if max_sweeps is None:
-        max_sweeps = default_max_iter(problem.cost, problem.gamma, p.ravel(), p.ravel(), eps_prime)
+        R = RadiusBound.from_instance(problem.cost, problem.gamma, p.ravel(), p.ravel()).value
+        max_sweeps = default_max_iter(R, eps_prime)
 
     state = WbDualState.initial(problem.m, problem.n)
     for sweep in range(1, max_sweeps + 1):

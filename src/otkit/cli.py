@@ -45,13 +45,10 @@ def _load_measure_dir(directory):
     return [io.load_measure(f) for f in files]
 
 
-def _cost(args):
-    return io.load_cost(args.cost, args.allow_asymmetric)
-
-
 def _transport_inputs(args):
     """The cost matrix and the source and target weights of a transport run."""
-    return _cost(args), io.load_measure(args.source).weights, io.load_measure(args.target).weights
+    p, q = (io.load_measure(path).weights for path in (args.source, args.target))
+    return io.load_cost(args.cost), p, q
 
 
 def _output_dir(args) -> Path:
@@ -111,7 +108,8 @@ def _cmd_aam(args) -> SolveReport:
     trace = [] if args.trace else None
     if args.gamma is not None:
         # Regularized-mode run: the explicit gamma overrides the schedule.
-        state, report = aam.aam_solve(C, args.gamma, p, q, gap_tol=args.gap_tol, trace=trace)
+        gap_tol = 1e-8 if args.gap_tol is None else args.gap_tol
+        state, report = aam.aam_solve(C, args.gamma, p, q, gap_tol=gap_tol, trace=trace)
         io.save_matrix(_output_dir(args) / "plan.csv", state.plan_avg)
         report.params["gamma_override"] = True
         report.params["eps"] = args.eps
@@ -122,10 +120,10 @@ def _cmd_aam(args) -> SolveReport:
 
 
 def _cmd_round(args) -> SolveReport:
-    plan_in = io.load_plan(args.plan)
+    plan_in = io.load_matrix(args.plan)
     p = io.load_measure(args.source).weights
     q = io.load_measure(args.target).weights
-    C = _cost(args) if args.cost is not None else None
+    C = io.load_cost(args.cost) if args.cost is not None else None
     rounded = rounding.round_to_polytope(plan_in, p, q)
     io.save_matrix(_output_dir(args) / "plan.csv", rounded.entries)
     return SolveReport(
@@ -137,7 +135,7 @@ def _cmd_round(args) -> SolveReport:
 
 
 def _cmd_barycenter(args) -> SolveReport:
-    C = _cost(args)
+    C = io.load_cost(args.cost)
     measures = _load_measure_dir(args.measures)
     solver = barycenter.barycenter_ibp if args.method == "ibp" else barycenter.accelerated_ibp
     q_bar, plans, report = solver(
@@ -151,7 +149,7 @@ def _cmd_barycenter(args) -> SolveReport:
 
 
 def _cmd_decentralized(args) -> SolveReport:
-    C = _cost(args)
+    C = io.load_cost(args.cost)
     measures = _load_measure_dir(args.measures)
     graph = decentralized.graph_laplacian(len(measures), io.load_edges(args.graph))
     config = decentralized.SimConfig(
@@ -169,22 +167,20 @@ def _cmd_decentralized(args) -> SolveReport:
     return report
 
 
-def _cmd_oracle(args) -> SolveReport:
-    if args.problem == "ot":
-        if args.source is None or args.target is None:
-            raise InputError("the ot problem needs --source and --target")
-        C, p, q = _transport_inputs(args)
-        sol = oracle.exact_ot_lp(C, p, q)
-        if sol.status != "optimal":
-            raise InputError(f"LP status {sol.status}")
-        io.save_matrix(_output_dir(args) / "plan.csv", sol.primal.reshape(p.size, p.size))
-        return SolveReport(
-            objective=sol.objective, iterations=sol.pivots, certificate=0.0,
-            params={"problem": "ot"},
-        )
-    if args.measures is None:
-        raise InputError("the barycenter problem needs --measures")
-    C = _cost(args)
+def _cmd_oracle_ot(args) -> SolveReport:
+    C, p, q = _transport_inputs(args)
+    sol = oracle.exact_ot_lp(C, p, q)
+    if sol.status != "optimal":
+        raise InputError(f"LP status {sol.status}")
+    io.save_matrix(_output_dir(args) / "plan.csv", sol.primal.reshape(p.size, p.size))
+    return SolveReport(
+        objective=sol.objective, iterations=sol.pivots, certificate=0.0,
+        params={"problem": "ot"},
+    )
+
+
+def _cmd_oracle_barycenter(args) -> SolveReport:
+    C = io.load_cost(args.cost)
     measures = _load_measure_dir(args.measures)
     sol = oracle._barycenter_lp([m.weights for m in measures], C)
     io.save_vector(_output_dir(args) / "q_bar.csv", sol.primal[-measures[0].n :])
@@ -219,14 +215,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, writes=True, traces=True):
-        s = sub.add_parser(name, help=help)
+    def command(name, handler, help, writes=True, traces=True, group=sub):
+        s = group.add_parser(name, help=help)
         s.set_defaults(handler=handler)
         s.add_argument("--quiet", action="store_true")
         if writes:
             s.add_argument("--output-dir", default=".", help="directory for artifacts")
-            s.add_argument("--allow-asymmetric", action="store_true",
-                           help="accept asymmetric cost matrices")
         if traces:
             s.add_argument("--trace", default=None, help="write a trace CSV here")
         return s
@@ -252,8 +246,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--gamma", type=float, default=None,
                    help="run in regularized mode at this gamma instead of the schedule")
-    s.add_argument("--gap-tol", type=float, default=1e-8,
-                   help="certificate width for regularized-mode stops")
+    s.add_argument("--gap-tol", type=float, default=None,
+                   help="certificate width for regularized-mode stops (needs --gamma; "
+                   "default 1e-8)")
 
     s = command("round", _cmd_round, "project a plan onto U(p, q)", traces=False)
     s.add_argument("--plan", required=True)
@@ -279,12 +274,17 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--step-L", type=float, default=None, dest="step_L")
     s.add_argument("--seed", type=int, default=0, help="seed of the stochastic gradient's draws")
 
-    s = command("oracle", _cmd_oracle, "exact LP reference solvers", traces=False)
-    s.add_argument("problem", choices=("ot", "barycenter"))
+    problems = sub.add_parser("oracle", help="exact LP reference solvers").add_subparsers(
+        dest="problem", required=True
+    )
+    s = command("ot", _cmd_oracle_ot, "exact transport LP", traces=False, group=problems)
     s.add_argument("--cost", required=True)
-    s.add_argument("--source", default=None)
-    s.add_argument("--target", default=None)
-    s.add_argument("--measures", default=None)
+    s.add_argument("--source", required=True)
+    s.add_argument("--target", required=True)
+    s = command("barycenter", _cmd_oracle_barycenter, "exact joint barycenter LP",
+                traces=False, group=problems)
+    s.add_argument("--measures", required=True, help="directory of p_*.csv files")
+    s.add_argument("--cost", required=True)
 
     s = command("verify", _cmd_verify, "run the acceptance suite", writes=False, traces=False)
     s.add_argument("--only", type=_criterion_numbers, default=None,
@@ -294,8 +294,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "aam" and args.gamma is None and args.gap_tol is not None:
+            parser.error("unrecognized arguments: --gap-tol (read only with --gamma)")
     except SystemExit as exc:
         # argparse has printed the usage or the help; exit 2 is kept for
         # convergence failures.

@@ -100,30 +100,26 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Nonnegative symmetric transportation cost matrix with cached max entry.
+    """Square, finite, nonnegative transportation cost matrix with cached
+    max entry.
 
-    Symmetry is checked by exact equality: cost files are user-controlled
-    inputs, so any mismatch is reported rather than silently averaged.
-    Pass ``allow_asymmetric=True`` (the ``--allow-asymmetric`` CLI flag) to
-    relax the check; the transport problem itself does not need symmetry.
+    C[i, j] is the cost of moving mass from support point i of the source
+    measure (p, or each p_l of a barycenter) to support point j of the
+    target (q, or the barycenter).  Every solver reads C in this
+    orientation, and none needs it to be symmetric.
     """
 
     entries: np.ndarray
-    allow_asymmetric: bool = False
     inf_norm: float = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.entries, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
-            raise DomainError("cost matrix must be square and nonempty")
+            raise DomainError(f"cost matrix must be square and nonempty, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise DomainError("cost matrix entries must be finite")
         if np.any(c < 0):
             raise DomainError("cost matrix entries must be nonnegative")
-        if not self.allow_asymmetric and not np.array_equal(c, c.T):
-            raise DomainError(
-                "cost matrix must be symmetric (use allow_asymmetric to relax)"
-            )
         object.__setattr__(self, "entries", _freeze(c))
         object.__setattr__(self, "inf_norm", float(c.max()))
 

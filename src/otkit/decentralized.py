@@ -262,7 +262,7 @@ def simulate_decentralized_barycenter(
     ms = [m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float)) for m in measures]
     if len(ms) != graph.m:
         raise DomainError("need exactly one measure per node")
-    C = C if isinstance(C, CostMatrix) else CostMatrix(as_matrix(C))
+    C = CostMatrix(C)
     gamma = config.gamma
     step_L = config.step_L if config.step_L is not None else default_step_constant(graph, gamma)
     rng = np.random.default_rng(config.seed)

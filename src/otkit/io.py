@@ -1,7 +1,8 @@
 """CSV, edge-list and report serialization.
 
 Measures are one nonnegative real per line; cost matrices and plans are
-dense CSV (n rows of n comma-separated reals); graphs are edge lists with
+dense CSV (n rows of n comma-separated reals, row i holding the costs or
+the mass from support point i of the source); graphs are edge lists with
 one 0-indexed "i j" pair per line.  Reports are JSON with a fixed key
 order and floats printed with 17 significant digits so identical runs
 produce byte-identical files.
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CostMatrix, DiscreteMeasure, InputError
+from .core import CostMatrix, DiscreteMeasure, DomainError, InputError
 
 #: Deviation of a measure file's sum from 1 above which a warning is issued.
 MEASURE_SUM_WARN_TOL = 1e-9
@@ -65,19 +66,13 @@ def load_matrix(path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def load_cost(path, allow_asymmetric: bool = False) -> CostMatrix:
-    """Read a cost matrix CSV; symmetry is required unless relaxed."""
+def load_cost(path) -> CostMatrix:
+    """Read a cost matrix CSV; ``CostMatrix`` names what makes it invalid."""
     m = load_matrix(path)
-    if m.shape[0] != m.shape[1]:
-        raise InputError(f"{path}: cost matrix must be square, got {m.shape}")
     try:
-        return CostMatrix(m, allow_asymmetric=allow_asymmetric)
-    except Exception as exc:
+        return CostMatrix(m)
+    except DomainError as exc:
         raise InputError(f"{path}: {exc}") from exc
-
-
-def load_plan(path) -> np.ndarray:
-    return load_matrix(path)
 
 
 def load_edges(path) -> list[tuple[int, int]]:

@@ -147,9 +147,9 @@ def reg_gap_certificate(state: SinkhornState, C, gamma: float, p, q) -> float:
     return 0.5 * gamma * R * marginal_violation(plan, p, q)
 
 
-def default_max_iter(C, gamma: float, p, q, eps_prime: float) -> int:
-    """Twice the theoretical iteration envelope, to tolerate float slack."""
-    R = RadiusBound.from_instance(C, gamma, p, q).value
+def default_max_iter(R: float, eps_prime: float) -> int:
+    """Twice the theoretical iteration envelope at radius bound R, to
+    tolerate float slack."""
     return int(math.ceil(2.0 + 8.0 * R / eps_prime))
 
 
@@ -192,9 +192,9 @@ def sinkhorn_solve(
     C = as_matrix(C)
     p = _require_positive(as_weights(p))
     q = _require_positive(as_weights(q))
-    if max_iter is None:
-        max_iter = default_max_iter(C, gamma, p, q, eps_prime)
     R = RadiusBound.from_instance(C, gamma, p, q).value
+    if max_iter is None:
+        max_iter = default_max_iter(R, eps_prime)
 
     n = p.size
     kernel = ScalingKernel.start(log_kernel(C, gamma), np.zeros((1, n)), np.zeros((1, n)))
@@ -323,7 +323,8 @@ def epsilon_pipeline(
     Transport takes the one measure in ``measures`` to the fixed
     ``target``.  With ``target`` None the problem is the barycenter of
     ``measures``, and q is q_bar, the mass-normalized mean of the
-    couplings' column marginals.
+    couplings' column marginals.  Either way C goes through
+    ``CostMatrix``, and ``solve`` receives that ``CostMatrix``.
 
     At eps >= 8 ||C||_inf the additive bound is vacuous (every plan costs
     at most ||C||_inf), which also covers C = 0: q is the target or the
@@ -343,30 +344,30 @@ def epsilon_pipeline(
         q (the target, or q_bar), the rounded plans, and the report.
 
     Raises:
+        DomainError: if C is not square, finite and nonnegative, or a
+            measure's size does not match it.
         ConvergenceError: if ``solve`` stops yielding before the stop test
             passes.
     """
     if not (eps > 0):
         raise ParameterError("eps must be positive")
+    C = CostMatrix(C)
     if target is None:
-        C = C if isinstance(C, CostMatrix) else CostMatrix(as_matrix(C))
         rows = [(m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(m)).weights for m in measures]
     else:
-        C = as_matrix(C)
         target = as_weights(target)
         rows = [as_weights(measures)]
-    n, k = as_matrix(C).shape
-    if not rows or any(w.size != n for w in rows) or (target is not None and target.size != k):
+    n = C.n
+    if not rows or any(w.size != n for w in rows) or (target is not None and target.size != n):
         raise DomainError("measure sizes do not match the cost matrix")
     if n < 2:
         raise ParameterError("need support size n >= 2")
     P = np.stack(rows)
-    c_inf = float(as_matrix(C).max())
     record = dict(
         gamma=None, eps=eps, eps_prime=None, short_circuit=True, gamma_override=gamma is not None
     )
 
-    if eps >= 8.0 * c_inf:
+    if eps >= 8.0 * C.inf_norm:
         q = P.mean(axis=0) if target is None else target
         plans = [TransportPlan(np.outer(p, q), feasible_for=(p, q)) for p in P]
         objective = float(np.mean([transport_cost(plan.entries, C) for plan in plans]))
@@ -384,7 +385,7 @@ def epsilon_pipeline(
     params = RegularizationParams(
         gamma=eps / (schedule.gamma_div * math.log(n)) if gamma is None else gamma,
         eps=eps,
-        eps_prime=eps / (schedule.eps_prime_div * c_inf),
+        eps_prime=eps / (schedule.eps_prime_div * C.inf_norm),
     )
     record.update(gamma=params.gamma, eps_prime=params.eps_prime, short_circuit=False)
     weight = params.eps_prime / schedule.smooth_div

@@ -512,3 +512,19 @@ def test_aam_solve_certificate():
     _, plan = sinkhorn_solve(C, gamma, p, q, 1e-11, check_every=1)
     w_star = reg_primal_objective(plan.entries, C, gamma)
     assert report.objective - 1e-9 <= w_star <= report.objective + report.certificate + 1e-9
+
+
+def test_aam_solve_stationary_start():
+    # C = 0 with p = q uniform: both gradient blocks vanish at the origin,
+    # so every step takes the stationary branch and the weight A stays 0.
+    n, gamma = 4, 0.5
+    C, u = np.zeros((n, n)), np.full(n, 1.0 / n)
+    gu, gv = dual_partial_gradients((np.zeros(n), np.zeros(n)), C, gamma, u, u)
+    assert not gu.any() and not gv.any()
+    state, report = aam_solve(C, gamma, u, u)
+    assert report.iterations == 10
+    assert abs(report.certificate) <= 1e-15
+    assert state.A_big == 0.0
+    assert not state.zeta.any()
+    assert np.array_equal(state.plan_avg, np.full((n, n), 1.0 / n**2))
+    assert report.objective == pytest.approx(-2.0 * gamma * math.log(n), rel=1e-15)

@@ -11,6 +11,7 @@ import pytest
 import otkit
 from otkit import cli, io
 from otkit.core import InputError
+from otkit.sinkhorn import GAP_TRACE_COLUMNS
 
 
 @pytest.fixture
@@ -47,12 +48,22 @@ class TestIo:
         with pytest.raises(InputError, match=":2"):
             io.load_matrix(tmp_path / "C.csv")
 
-    def test_asymmetric_cost_rejected(self, tmp_path):
+    def test_asymmetric_cost_loaded(self, tmp_path):
         (tmp_path / "C.csv").write_text("0,1\n2,0\n")
-        with pytest.raises(InputError, match="symmetric"):
-            io.load_cost(tmp_path / "C.csv")
-        C = io.load_cost(tmp_path / "C.csv", allow_asymmetric=True)
+        C = io.load_cost(tmp_path / "C.csv")
+        assert np.array_equal(C.entries, [[0.0, 1.0], [2.0, 0.0]])
         assert C.inf_norm == 2.0
+
+    @pytest.mark.parametrize("text, match", [
+        ("0,1,2\n1,0,1\n", r"square.*\(2, 3\)"),
+        ("0,-1\n1,0\n", "nonnegative"),
+        ("0,nan\n1,0\n", "finite"),
+    ], ids=["2x3", "negative", "nan"])
+    def test_invalid_cost_names_file_and_fault(self, tmp_path, text, match):
+        (tmp_path / "C.csv").write_text(text)
+        with pytest.raises(InputError, match=match) as err:
+            io.load_cost(tmp_path / "C.csv")
+        assert str(err.value).startswith(f"{tmp_path / 'C.csv'}: ")
 
     def test_edge_list_parsing(self, tmp_path):
         (tmp_path / "g.txt").write_text("0 1\n# comment\n1 2\n")
@@ -87,7 +98,7 @@ class TestCommands:
         report = read_report(out)
         assert 0.3 <= report["objective"] <= 0.35
         assert report["params"]["gamma"] is not None
-        plan = io.load_plan(out / "plan.csv")
+        plan = io.load_matrix(out / "plan.csv")
         assert np.abs(plan.sum(axis=1) - [0.3, 0.7]).max() <= 1e-9
 
     def test_missing_file_exit_3(self, instance_dir, capsys):
@@ -149,7 +160,7 @@ class TestCommands:
             "--output-dir", str(out), "--quiet",
         ])
         assert code == 0
-        plan = io.load_plan(out / "plan.csv")
+        plan = io.load_matrix(out / "plan.csv")
         assert np.allclose(plan, [[0.403226, 0.096774], [0.096774, 0.403226]], atol=1e-6)
 
     def test_round_honours_allow_asymmetric(self, instance_dir):
@@ -160,11 +171,11 @@ class TestCommands:
             "round", "--plan", str(instance_dir / "pi.csv"),
             "--source", str(instance_dir / "p.csv"),
             "--target", str(instance_dir / "q.csv"),
-            "--cost", str(instance_dir / "A.csv"), "--allow-asymmetric",
+            "--cost", str(instance_dir / "A.csv"),
             "--output-dir", str(out), "--quiet",
         ])
         assert code == 0
-        plan = io.load_plan(out / "plan.csv")
+        plan = io.load_matrix(out / "plan.csv")
         expected = float((plan * np.array([[0.0, 1.0], [2.0, 0.0]])).sum())
         assert read_report(out)["objective"] == pytest.approx(expected, rel=1e-15)
 
@@ -193,6 +204,24 @@ class TestCommands:
         rep = read_report(out2)
         assert rep["params"]["gamma_override"] is True
         assert rep["params"]["gamma"] == 0.05
+
+    def test_aam_gamma_mode_trace(self, instance_dir):
+        trace = instance_dir / "trace.csv"
+        code = cli.main([
+            "aam", "--cost", str(instance_dir / "C.csv"),
+            "--source", str(instance_dir / "p.csv"),
+            "--target", str(instance_dir / "q.csv"),
+            "--eps", "0.05", "--gamma", "0.1", "--gap-tol", "1e-6",
+            "--output-dir", str(instance_dir / "out"), "--trace", str(trace), "--quiet",
+        ])
+        assert code == 0
+        header, *rows = trace.read_text().splitlines()
+        assert header.split(",") == [*GAP_TRACE_COLUMNS, "certificate_width"]
+        iterations = [int(row.split(",")[0]) for row in rows]
+        assert iterations == list(range(10, 10 * len(rows) + 1, 10))
+        report = read_report(instance_dir / "out")
+        assert report["iterations"] == iterations[-1]
+        assert float(rows[-1].split(",")[-1]) == report["certificate"] <= 1e-6
 
     def test_oracle_ot(self, instance_dir):
         out = instance_dir / "out"
@@ -263,6 +292,28 @@ class TestCommands:
         q_bar = io.load_measure(out / "q_bar.csv")
         assert q_bar.n == 3
         assert (out / "plan_1.csv").exists() and (out / "plan_2.csv").exists()
+
+    @pytest.mark.parametrize("method", ["ibp", "aibp"])
+    def test_barycenter_on_asymmetric_cost(self, tmp_path, method):
+        rng = np.random.default_rng(3)
+        mdir = tmp_path / "measures"
+        mdir.mkdir()
+        for idx in range(1, 3):
+            io.save_vector(mdir / f"p_{idx}.csv", rng.dirichlet(np.ones(4)))
+        C = rng.uniform(0.2, 1.0, (4, 4))
+        np.fill_diagonal(C, 0.0)
+        io.save_matrix(tmp_path / "C.csv", C)
+        out = tmp_path / "out"
+        code = cli.main([
+            "barycenter", "--method", method, "--measures", str(mdir),
+            "--cost", str(tmp_path / "C.csv"), "--eps", "0.1",
+            "--output-dir", str(out), "--quiet",
+        ])
+        assert code == 0
+        measures = [io.load_measure(mdir / f"p_{idx}.csv") for idx in range(1, 3)]
+        solver = otkit.barycenter_ibp if method == "ibp" else otkit.accelerated_ibp
+        q_bar, _, _ = solver(measures, io.load_cost(tmp_path / "C.csv"), 0.1)
+        assert np.array_equal(io.load_matrix(out / "q_bar.csv")[:, 0], q_bar)
 
     def test_decentralized_command(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -374,6 +425,24 @@ UNREAD_FLAGS = [
     (["verify", "--only", "3"], ["--trace", "t.csv"]),
     (["verify", "--only", "3"], ["--seed", "3"]),
     (["verify", "--only", "3"], ["--allow-asymmetric"]),
+    (["oracle", "barycenter", "--measures", "m", "--cost", "C.csv"],
+     ["--source", "p.csv", "--target", "q.csv"]),
+    (["oracle", "ot", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv"],
+     ["--measures", "m"]),
+    (["aam", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv",
+      "--eps", "0.05"], ["--gap-tol", "1e-6"]),
+] + [
+    (argv, ["--allow-asymmetric"]) for argv in (
+        ["sinkhorn", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv",
+         "--gamma", "0.1", "--tol", "1e-6"],
+        ["approx", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv", "--eps", "0.05"],
+        ["aam", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv", "--eps", "0.05"],
+        ["round", "--plan", "pi.csv", "--source", "p.csv", "--target", "q.csv", "--cost", "C.csv"],
+        ["barycenter", "--method", "ibp", "--measures", "m", "--cost", "C.csv", "--eps", "0.05"],
+        ["decentralized", "--graph", "g.txt", "--measures", "m", "--cost", "C.csv",
+         "--gamma", "0.1", "--rounds", "3"],
+        ["oracle", "ot", "--cost", "C.csv", "--source", "p.csv", "--target", "q.csv"],
+    )
 ]
 
 

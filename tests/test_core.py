@@ -52,13 +52,15 @@ class TestCostMatrix:
         C = CostMatrix(np.array([[0.0, 2.0], [2.0, 1.0]]))
         assert C.inf_norm == 2.0
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(DomainError):
-            CostMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    def test_accepts_asymmetric(self):
+        A = np.array([[0.0, 1.0], [2.0, 0.0]])
+        C = CostMatrix(A)
+        assert np.array_equal(C.entries, A)
+        assert np.array_equal(np.asarray(C), A)
 
-    def test_allow_asymmetric_flag(self):
-        C = CostMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), allow_asymmetric=True)
-        assert C.inf_norm == 2.0
+    def test_asymmetric_inf_norm(self):
+        assert CostMatrix(np.array([[0.0, 1.0], [2.0, 0.0]])).inf_norm == 2.0
+        assert CostMatrix(np.array([[0.0, 2.0], [1.0, 0.0]])).inf_norm == 2.0
 
     def test_rejects_negative_entries(self):
         with pytest.raises(DomainError):

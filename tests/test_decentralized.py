@@ -459,3 +459,23 @@ class TestSimulation:
             np.abs(final_u(True, batch) - reference).sum() for batch in (1, 16, 256)
         ]
         assert distances[0] > distances[1] > distances[2]
+
+
+def test_asymmetric_cost_matches_ibp():
+    # C[i, j] runs from point i of each node's measure to point j of the
+    # barycenter, in the simulator as in IBP: C and its transpose give
+    # different barycenters, and only C matches.
+    rng = np.random.default_rng(3)
+    C = rng.uniform(0.0, 1.0, (6, 6))
+    np.fill_diagonal(C, 0.0)
+    measures = [DiscreteMeasure(rng.uniform(0.5, 1.5, 6)) for _ in range(3)]
+    gamma = 0.1 * C.max()
+    q_ref = ibp_solve(BarycenterProblem(tuple(measures), C, gamma), 1e-9).q_bar
+    graph = graph_laplacian(3, [(0, 1), (1, 2), (0, 2)])
+    config = SimConfig(gamma=gamma, rounds=3000)
+    dist = {}
+    for name, cost in (("C", C), ("C.T", C.T)):
+        q_locals, _ = simulate_decentralized_barycenter(measures, cost, graph, config)
+        dist[name] = max(float(np.abs(q.weights - q_ref).sum()) for q in q_locals)
+    assert dist["C"] <= 1e-6
+    assert dist["C.T"] >= 0.1

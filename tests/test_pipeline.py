@@ -8,9 +8,9 @@ import pytest
 
 from otkit.aam import accelerated_ot
 from otkit.barycenter import accelerated_ibp, barycenter_ibp
-from otkit.core import DiscreteMeasure, DomainError
-from otkit.oracle import exact_ot_lp
-from otkit.sinkhorn import GAP_KEYS, approx_ot_sinkhorn
+from otkit.core import ConvergenceError, DiscreteMeasure, DomainError
+from otkit.oracle import exact_barycenter_lp, exact_ot_lp
+from otkit.sinkhorn import GAP_KEYS, GAP_TRACE_COLUMNS, approx_ot_sinkhorn
 from conftest import random_instance, random_measures
 
 SOLVERS = ("sinkhorn", "aam", "ibp", "aibp")
@@ -104,3 +104,52 @@ def test_mismatched_sizes_raise_domain_error(solver):
     measures = [measures[0], DiscreteMeasure(np.full(3, 1 / 3))]
     with pytest.raises(DomainError):
         run(solver, C, measures, 0.1 * C.inf_norm)
+
+
+@pytest.mark.parametrize("solver", ["sinkhorn", "aam"])
+@pytest.mark.parametrize("C, match", [
+    ([[0.0, -1.0], [-1.0, 0.0]], "nonnegative"),
+    ([[0.0, np.nan], [1.0, 0.0]], "finite"),
+    (np.ones((4, 6)), "square"),
+], ids=["negative", "nan", "4x6"])
+def test_invalid_cost_raises_domain_error(solver, C, match):
+    rows, cols = np.shape(C)
+    measures = [np.full(rows, 1.0 / rows), np.full(cols, 1.0 / cols)]
+    with pytest.raises(DomainError, match=match):
+        run(solver, np.array(C), measures, 0.1)
+
+
+@pytest.mark.parametrize("solver", ["aam", "aibp"])
+def test_budget_exhausted_raises_with_trace(solver):
+    C, measures = instance(solver, 41, 8)
+    eps = 0.1 * C.inf_norm
+    trace: list[dict] = []
+    with pytest.raises(ConvergenceError, match="within 2 iterations") as err:
+        if solver == "aam":
+            p, q = (np.asarray(m, float) for m in measures)
+            accelerated_ot(C, p, q, eps, max_iter=2, trace=trace)
+        else:
+            accelerated_ibp(measures, C, eps, max_iter=2, trace=trace)
+    assert err.value.trace is trace
+    assert [row["iteration"] for row in trace] == [1, 2]
+    assert all(tuple(row) == GAP_TRACE_COLUMNS for row in trace)
+
+
+def asymmetric_measures(seed, m, n):
+    """A cost with independent entries on either side of its zero diagonal,
+    as a plain array, and m strictly positive measures."""
+    rng = np.random.default_rng(seed)
+    C = rng.uniform(0.0, 1.0, (n, n))
+    np.fill_diagonal(C, 0.0)
+    return C, [DiscreteMeasure(rng.uniform(0.5, 1.5, n)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("solver", [barycenter_ibp, accelerated_ibp])
+def test_barycenter_on_asymmetric_cost_within_eps(solver):
+    C, measures = asymmetric_measures(3, 3, 6)
+    weights = [m.weights for m in measures]
+    eps = 0.1 * C.max()
+    q_bar, _, _ = solver(measures, C, eps)
+    _, optimum = exact_barycenter_lp(weights, C)
+    value = np.mean([exact_ot_lp(C, w, q_bar).objective for w in weights])
+    assert 0.0 <= value - optimum <= eps
