@@ -113,6 +113,11 @@ class CostMatrix:
     inf_norm: float = field(init=False)
 
     def __post_init__(self):
+        if isinstance(self.entries, CostMatrix):
+            # Checked and frozen already: share its entries, not a copy.
+            object.__setattr__(self, "inf_norm", self.entries.inf_norm)
+            object.__setattr__(self, "entries", self.entries.entries)
+            return
         c = np.asarray(self.entries, dtype=float)
         if c.ndim != 2 or c.shape[0] != c.shape[1] or c.size == 0:
             raise DomainError(f"cost matrix must be square and nonempty, got shape {c.shape}")

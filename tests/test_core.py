@@ -58,6 +58,11 @@ class TestCostMatrix:
         assert np.array_equal(C.entries, A)
         assert np.array_equal(np.asarray(C), A)
 
+    def test_rewrapping_shares_entries(self):
+        C = CostMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        again = CostMatrix(C)
+        assert again.entries is C.entries and again.inf_norm == 2.0
+
     def test_asymmetric_inf_norm(self):
         assert CostMatrix(np.array([[0.0, 1.0], [2.0, 0.0]])).inf_norm == 2.0
         assert CostMatrix(np.array([[0.0, 2.0], [1.0, 0.0]])).inf_norm == 2.0
