@@ -47,8 +47,8 @@ def _load_measure_dir(directory):
 
 def _transport_inputs(args):
     """The cost matrix and the source and target weights of a transport run."""
-    p, q = (io.load_measure(path).weights for path in (args.source, args.target))
-    return io.load_cost(args.cost), p, q
+    C = io.load_cost(args.cost)
+    return C, io.load_measure(args.source).weights, io.load_measure(args.target).weights
 
 
 def _output_dir(args) -> Path:
@@ -247,8 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gamma", type=float, default=None,
                    help="run in regularized mode at this gamma instead of the schedule")
     s.add_argument("--gap-tol", type=float, default=None,
-                   help="certificate width for regularized-mode stops (needs --gamma; "
-                   "default 1e-8)")
+                   help="certificate width of a --gamma run's stop (default 1e-8)")
 
     s = command("round", _cmd_round, "project a plan onto U(p, q)", traces=False)
     s.add_argument("--plan", required=True)

@@ -100,8 +100,7 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Square, finite, nonnegative transportation cost matrix with cached
-    max entry.
+    """Square, finite, nonnegative transport cost matrix with cached max entry.
 
     C[i, j] is the cost of moving mass from support point i of the source
     measure (p, or each p_l of a barycenter) to support point j of the

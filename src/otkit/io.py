@@ -1,8 +1,7 @@
 """CSV, edge-list and report serialization.
 
 Measures are one nonnegative real per line; cost matrices and plans are
-dense CSV (n rows of n comma-separated reals, row i holding the costs or
-the mass from support point i of the source); graphs are edge lists with
+dense CSV (n rows of n comma-separated reals); graphs are edge lists with
 one 0-indexed "i j" pair per line.  Reports are JSON with a fixed key
 order and floats printed with 17 significant digits so identical runs
 produce byte-identical files.
