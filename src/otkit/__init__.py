@@ -19,7 +19,6 @@ from .core import (
     marginal_violation,
     neg_entropy,
     reg_primal_objective,
-    smooth_marginals,
     transport_cost,
 )
 from .rounding import round_to_polytope
@@ -63,6 +62,6 @@ from .decentralized import (
     simulate_decentralized_barycenter,
     stochastic_dual_gradient,
 )
-from .oracle import LpSolution, exact_barycenter_lp, exact_ot_lp, regularized_wb_grid
+from .oracle import LpSolution, exact_barycenter_lp, exact_ot_lp
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .kernel import (
     fenchel_dual_values,
     log_kernel,
     log_marginals,
-    log_masses,
 )
 from .sinkhorn import (
     AIBP_SCHEDULE,
@@ -129,13 +128,6 @@ def ibp_step(state: WbDualState, problem: BarycenterProblem) -> WbDualState:
     return WbDualState(u, v, state.iteration + 1, kernel)
 
 
-def ibp_dual_value(state: WbDualState, problem: BarycenterProblem) -> float:
-    """Dual value (1/m) sum_l ( 1' B(u_l, v_l) 1 - <u_l, p_l> )."""
-    masses = np.exp(log_masses(state.u, state.v, problem.log_kernel))
-    inner = (state.u * problem.measure_stack()).sum(axis=1)
-    return float((masses - inner).mean())
-
-
 @dataclass
 class IbpSolution:
     """Outcome of an IBP run: dual state, per-measure couplings, mean marginal."""
@@ -159,6 +151,7 @@ def ibp_solve(
     is the mean of the column marginals.
 
     ``trace`` (if given) collects one row per sweep with the dual value
+    (``wb_dual_objective``, the stacked smooth dual at scale gamma / m)
     and the marginal spread; ``checks`` collects per-half-step exactness
     diagnostics (row-marginal match after u-updates, sum_l v_l and
     geometric-mean coincidence after v-updates).
@@ -183,13 +176,16 @@ def ibp_solve(
         q_bar = q_l.mean(axis=0)
         spread = float(np.abs(q_l - q_bar).sum(axis=1).mean())
         if trace is not None:
-            # ibp_dual_value without its exp pass: each q_l sums to 1' B_l 1.
-            masses = q_l.sum(axis=1)
+            # wb_dual_objective without its exp pass: each q_l sums to 1' B_l 1.
+            phi = dual_value(
+                state.u, state.v, None, problem.gamma / problem.m, p,
+                log_mass=np.log(q_l.sum(axis=1)),
+            )
             trace.append(
                 {
                     "sweep": sweep,
                     "iteration": state.iteration,
-                    "dual_value": float((masses - (state.u * p).sum(axis=1)).mean()),
+                    "dual_value": phi,
                     "marginal_spread": spread,
                 }
             )

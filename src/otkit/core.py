@@ -392,16 +392,3 @@ def smooth_measure(m, delta: float) -> DiscreteMeasure:
     n = w.size
     smoothed = (1.0 - delta) * (w + delta / n)
     return DiscreteMeasure(smoothed)
-
-
-def smooth_marginals(p, q, eps_prime: float) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Separate both marginals from zero ahead of a Sinkhorn run.
-
-    Each measure is replaced by (1 - eps'/8)(w + eps'/(8n) 1), renormalized
-    to restore simplex membership (the affine form alone sums to
-    1 - eps'^2/64).  Outputs satisfy min entry >= (1 - eps'/8) eps'/(8n)
-    and stay within l1 distance eps'/4 of the inputs.
-    """
-    if not (0 < eps_prime < 2):
-        raise ParameterError("eps_prime must lie in (0, 2)")
-    return smooth_measure(p, eps_prime / 8.0), smooth_measure(q, eps_prime / 8.0)

@@ -7,7 +7,7 @@ tree, one vectorized reduced-cost pass per pivot.  A dense two-phase
 simplex backs the joint barycenter LP; it enters the column of most
 negative reduced cost (Dantzig's rule) and falls back to Bland's rule for
 any pivot that would not move the objective, which keeps Bland's
-termination guarantee.  A grid search gives the regularized barycenter.
+termination guarantee.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    DomainError,
-    as_matrix,
-    as_weights,
-    reg_primal_objective,
-)
-from .sinkhorn import sinkhorn_solve
+from .core import DomainError, as_matrix, as_weights
 
 #: Pivot / zero tolerance for the simplex tableau.
 PIVOT_TOL = 1e-10
@@ -31,7 +25,6 @@ SOLUTION_TOL = 1e-9
 
 MAX_OT_SIZE = 32
 MAX_BARYCENTER_VARS = 400
-MAX_GRID_SUPPORT = 3
 
 
 @dataclass
@@ -462,52 +455,3 @@ def _barycenter_lp(measures, C) -> LpSolution:
         if err > SOLUTION_TOL:
             raise RuntimeError(f"barycenter LP solution infeasible by {err:.3e}")
     return sol
-
-
-def regularized_wb_grid(measures, C, gamma: float, grid_step: float) -> tuple[np.ndarray, float]:
-    """Brute-force regularized barycenter over a simplex grid.
-
-    Evaluates the averaged regularized transport value at every strictly
-    interior grid point of spacing ``grid_step`` (boundary points are
-    skipped: the Sinkhorn evaluation needs positive marginals, and the
-    entropic minimizer is interior).  Intended for n <= 3 only.
-    """
-    C = as_matrix(C)
-    ps = [as_weights(m) for m in measures]
-    n = ps[0].size
-    if n > MAX_GRID_SUPPORT:
-        raise DomainError(f"regularized_wb_grid refuses n={n} > {MAX_GRID_SUPPORT}")
-    k = int(round(1.0 / grid_step))
-    if k < 2:
-        raise DomainError("grid_step too coarse")
-
-    def reg_ot_value(p, q) -> float:
-        state, plan = sinkhorn_solve(
-            C, gamma, p, q, eps_prime=1e-10, check_every=1
-        )
-        return reg_primal_objective(plan.entries, C, gamma)
-
-    best_q, best_val = None, np.inf
-    for q in _interior_grid(n, k):
-        val = float(np.mean([reg_ot_value(p, q) for p in ps]))
-        if val < best_val:
-            best_q, best_val = q, val
-    if best_q is None:
-        raise DomainError("grid contains no interior point; refine grid_step")
-    return best_q, best_val
-
-
-def _interior_grid(n: int, k: int):
-    """Yield simplex points with all coordinates positive multiples of 1/k."""
-    if n == 1:
-        yield np.array([1.0])
-        return
-    if n == 2:
-        for i in range(1, k):
-            yield np.array([i / k, (k - i) / k])
-        return
-    for i in range(1, k - 1):
-        for j in range(1, k - i):
-            rest = k - i - j
-            if rest >= 1:
-                yield np.array([i / k, j / k, rest / k])

@@ -36,7 +36,7 @@ from .core import (
     smooth_measure,
     transport_cost,
 )
-from .kernel import ScalingKernel, dual_value, log_kernel, log_masses
+from .kernel import ScalingKernel, dual_value, log_kernel
 from .rounding import round_to_polytope
 
 TRACE_COLUMNS = ("iteration", "violation", "dual_objective", "certificate")
@@ -89,21 +89,6 @@ def coupled_plan(u, v, C, gamma: float) -> np.ndarray:
     """The coupling B(u, v) = exp(u_i + v_j - C_ij / gamma), built by the
     scaling kernel."""
     return ScalingKernel.start(log_kernel(C, gamma), u[None], v[None]).K[0]
-
-
-def _sinkhorn_dual(mass: float, u, v, gamma: float, p, q) -> float:
-    return gamma * (mass - float(np.dot(u, as_weights(p))) - float(np.dot(v, as_weights(q))))
-
-
-def dual_objective(u, v, C, gamma: float, p, q) -> float:
-    """Dual value gamma * (1' B(u,v) 1 - <u, p> - <v, q>).
-
-    At u = v = 0 with C = 0 this is gamma * n^2, which doubles as an
-    evaluation smoke test.
-    """
-    u, v = as_weights(u), as_weights(v)
-    mass = math.exp(log_masses(u[None], v[None], log_kernel(C, gamma))[0])
-    return _sinkhorn_dual(mass, u, v, gamma, p, q)
 
 
 def _coupling_sums(kernel: ScalingKernel) -> SimpleNamespace:
@@ -175,7 +160,8 @@ def sinkhorn_solve(
             the scalings and two matrix-vector products (the dense coupling
             is only materialized at output).
         trace: if a list is given, one (iteration, violation, dual,
-            certificate) row is appended at every check.
+            certificate) row is appended at every check; the dual is the
+            stacked smooth dual ``kernel.dual_value`` at scale gamma.
 
     Returns:
         The first checked state whose violation is <= eps_prime, plus the
@@ -204,19 +190,24 @@ def sinkhorn_solve(
         if t % check_every == 0 or t == max_iter:
             sums = _coupling_sums(kernel)
             violation = marginal_violation(sums, p, q)
-            u, v = (x[0] for x in kernel.potentials())
+            u, v = kernel.potentials()
             if trace is not None:
-                mass = float(sums.row_marginals.sum())
+                # The stacked dual without its exp pass: the row marginals
+                # sum to 1' B 1.
+                log_mass = np.log([sums.row_marginals.sum()])
                 trace.append(
                     {
                         "iteration": t,
                         "violation": violation,
-                        "dual_objective": _sinkhorn_dual(mass, u, v, gamma, p, q),
+                        "dual_objective": dual_value(
+                            u, v, None, gamma, p[None], q[None], log_mass=log_mass
+                        ),
                         "certificate": 0.5 * gamma * R * violation,
                     }
                 )
             if violation <= eps_prime:
-                state = SinkhornState(DualPotentials(u, v), t, violation, kernel.absorptions)
+                pot = DualPotentials(u[0], v[0])
+                state = SinkhornState(pot, t, violation, kernel.absorptions)
                 return state, TransportPlan(kernel.plans()[0])
 
     raise ConvergenceError(
@@ -230,19 +221,19 @@ def kl_project(plan, target, axis: str) -> np.ndarray:
 
     The minimizer of KL(. | plan) over the affine set with the selected
     marginal equal to ``target`` is the plain rescaling
-    diag(target / current) applied to that axis: one half-step of the
-    scaling kernel whose log kernel is ln(plan).
+    diag(target / current) applied to that axis, written out here in
+    closed form so that it stays a reference independent of the scaling
+    kernel.
     """
     pi = as_matrix(plan)
     t = _require_positive(as_weights(target))
     if np.any(pi <= 0):
         raise DomainError("kl_project requires a strictly positive plan")
-    if axis not in ("rows", "columns"):
-        raise ParameterError(f"axis must be 'rows' or 'columns', got {axis!r}")
-    kernel = ScalingKernel.start(
-        np.log(pi), np.zeros((1, pi.shape[0])), np.zeros((1, pi.shape[1]))
-    )
-    return kernel.half_step(axis == "rows", t[None]).plans()[0]
+    if axis == "rows":
+        return pi * (t / pi.sum(axis=1))[:, None]
+    if axis == "columns":
+        return pi * (t / pi.sum(axis=0))[None, :]
+    raise ParameterError(f"axis must be 'rows' or 'columns', got {axis!r}")
 
 
 @dataclass(frozen=True)
@@ -344,8 +335,9 @@ def epsilon_pipeline(
         q (the target, or q_bar), the rounded plans, and the report.
 
     Raises:
-        DomainError: if C is not square, finite and nonnegative, or a
-            measure's size does not match it.
+        DomainError: if C is not square, finite and nonnegative, a
+            measure's size does not match it, or a transport measure's
+            mass is not within 1e-9 of 1.
         ConvergenceError: if ``solve`` stops yielding before the stop test
             passes.
     """
@@ -363,6 +355,14 @@ def epsilon_pipeline(
     if n < 2:
         raise ParameterError("need support size n >= 2")
     P = np.stack(rows)
+    if target is not None:
+        masses = float(P.sum()), float(target.sum())
+        # Not renormalized: a valid input keeps its bits.  NaN fails too.
+        if not all(abs(mass - 1.0) <= 1e-9 for mass in masses):
+            raise DomainError(
+                "transport measures must be probability vectors: "
+                f"source mass {masses[0]:.12g}, target mass {masses[1]:.12g}"
+            )
     record = dict(
         gamma=None, eps=eps, eps_prime=None, short_circuit=True, gamma_override=gamma is not None
     )

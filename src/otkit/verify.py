@@ -21,7 +21,7 @@ from .core import (
     ParameterError,
     marginal_violation,
     reg_primal_objective,
-    smooth_marginals,
+    smooth_measure,
     transport_cost,
 )
 
@@ -181,7 +181,8 @@ def criterion_4() -> CriterionResult:
         # two blocks, operator norm squared 2.
         gamma = report.params["gamma"]
         eps_prime = report.params["eps_prime"]
-        p_s, q_s = smooth_marginals(p.weights, q.weights, eps_prime)
+        weight = eps_prime / sinkhorn.AAM_SCHEDULE.smooth_div
+        p_s, q_s = smooth_measure(p.weights, weight), smooth_measure(q.weights, weight)
         D = aam.DistanceBound.from_instance(C, gamma, p_s.weights, q_s.weights).value
         for row in trace:
             t = row["iteration"]

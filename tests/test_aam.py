@@ -486,14 +486,16 @@ class TestAcceleratedPipeline:
         assert abs(cost_a - cost_s) <= 2.0 * eps
 
     def test_envelopes_along_trace(self):
-        from otkit.core import smooth_marginals
+        from otkit.core import smooth_measure
+        from otkit.sinkhorn import AAM_SCHEDULE
 
         C, p, q = random_instance(42, 8)
         eps = 0.1 * C.inf_norm
         trace: list[dict] = []
         _, report = accelerated_ot(C, p, q, eps, trace=trace)
         gamma = report.params["gamma"]
-        ps, qs = smooth_marginals(p, q, report.params["eps_prime"])
+        weight = report.params["eps_prime"] / AAM_SCHEDULE.smooth_div
+        ps, qs = smooth_measure(p, weight), smooth_measure(q, weight)
         D = DistanceBound.from_instance(C, gamma, ps.weights, qs.weights).value
         for row in trace:
             t = row["iteration"]

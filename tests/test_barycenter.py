@@ -14,7 +14,6 @@ from otkit.barycenter import (
     barycenter_ibp,
     fenchel_dual_gradient,
     fenchel_dual_ot,
-    ibp_dual_value,
     ibp_solve,
     ibp_step,
     wb_dual_gradients,
@@ -134,16 +133,17 @@ class TestIbpSolve:
         short = ibp_solve(problem, eps_prime=1e-6)
         long = ibp_solve(problem, eps_prime=1e-10)
         assert abs(
-            ibp_dual_value(short.state, problem) - ibp_dual_value(long.state, problem)
+            wb_dual_objective(short.state, problem) - wb_dual_objective(long.state, problem)
         ) <= 1e-6
 
     def test_dual_monotone_per_half_sweep(self):
+        # Each half-step is an exact block minimizer of the smooth dual.
         problem = make_problem(59, 3, 5)
         state = WbDualState.initial(3, 5)
-        last = ibp_dual_value(state, problem)
+        last = wb_dual_objective(state, problem)
         for _ in range(30):
             state = ibp_step(state, problem)
-            value = ibp_dual_value(state, problem)
+            value = wb_dual_objective(state, problem)
             assert value <= last + 1e-11
             last = value
 
@@ -163,25 +163,25 @@ class TestIbpSolve:
     def test_trace_dual_value_takes_no_extra_pass(self, monkeypatch):
         # The trace row reads 1' B_l 1 off the sweep's column marginals, so
         # a traced solve makes no log_masses pass of its own.
-        import otkit.barycenter
+        import otkit.kernel
 
         rng = np.random.default_rng(62)
         measures = tuple(DiscreteMeasure(w) for w in rng.uniform(0.5, 1.5, (3, 16)))
         C = grid_cost(4)
         problem = BarycenterProblem(measures, C, C.inf_norm / 800.0)
         calls = []
-        log_masses = otkit.barycenter.log_masses
+        log_masses = otkit.kernel.log_masses
 
         def counted(*args):
             calls.append(1)
             return log_masses(*args)
 
-        monkeypatch.setattr(otkit.barycenter, "log_masses", counted)
+        monkeypatch.setattr(otkit.kernel, "log_masses", counted)
         trace: list[dict] = []
         sol = ibp_solve(problem, eps_prime=1e-6, trace=trace)
         assert sol.state.kernel.absorptions > 0
         assert calls == []
-        expected = ibp_dual_value(sol.state, problem)
+        expected = wb_dual_objective(sol.state, problem)
         assert trace[-1]["dual_value"] == pytest.approx(expected, rel=1e-12)
 
     def test_budget_exhaustion_carries_trace(self):

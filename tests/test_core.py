@@ -21,7 +21,7 @@ from otkit.core import (
     lse,
     marginal_violation,
     neg_entropy,
-    smooth_marginals,
+    smooth_measure,
     transport_cost,
 )
 from otkit.sinkhorn import coupled_plan
@@ -268,22 +268,21 @@ class TestTransportCost:
 
 
 class TestSmoothMarginals:
+    # The pipeline smooths each marginal with weight eps' / smooth_div; 8
+    # is the transport schedules' divisor.
     def test_uniform_is_fixed(self):
         p = np.full(4, 0.25)
-        ps, qs = smooth_marginals(p, p, 0.5)
-        assert np.allclose(ps.weights, p, atol=1e-15)
-        assert np.allclose(qs.weights, p, atol=1e-15)
+        assert np.allclose(smooth_measure(p, 0.5 / 8.0).weights, p, atol=1e-15)
 
     def test_hand_case_renormalized(self):
         # affine image of (1, 0) at eps' = 0.8 is (0.945, 0.045), total 0.99
         p = np.array([1.0, 0.0])
-        ps, _ = smooth_marginals(p, np.array([0.5, 0.5]), 0.8)
+        ps = smooth_measure(p, 0.8 / 8.0)
         assert np.allclose(ps.weights, [0.945 / 0.99, 0.045 / 0.99], atol=1e-15)
 
     def test_small_eps_limit(self):
         p = np.array([0.3, 0.7])
-        ps, _ = smooth_marginals(p, p, 1e-9)
-        assert np.allclose(ps.weights, p, atol=1e-9)
+        assert np.allclose(smooth_measure(p, 1e-9 / 8.0).weights, p, atol=1e-9)
 
     def test_bounds(self):
         rng = np.random.default_rng(2)
@@ -295,11 +294,12 @@ class TestSmoothMarginals:
                 continue
             p /= p.sum()
             eps_prime = float(rng.uniform(0.01, 1.9))
-            ps, _ = smooth_marginals(p, np.full(n, 1.0 / n), eps_prime)
+            ps = smooth_measure(p, eps_prime / 8.0)
             assert ps.min_weight >= (1.0 - eps_prime / 8.0) * eps_prime / (8.0 * n) - 1e-15
             assert np.abs(ps.weights - p).sum() <= eps_prime / 4.0 + 1e-12
 
     def test_rejects_out_of_range(self):
         p = np.array([0.5, 0.5])
-        with pytest.raises(ParameterError):
-            smooth_marginals(p, p, 2.0)
+        for weight in (0.0, 1.0, -0.125):
+            with pytest.raises(ParameterError):
+                smooth_measure(p, weight)

@@ -1,13 +1,20 @@
-"""Exact LP oracles: simplex correctness, transport LP, barycenter LP, grid."""
+"""Exact LP oracles: simplex correctness, transport LP, barycenter LP; a
+grid search for the regularized barycenter."""
 
 import numpy as np
 import pytest
 
-from otkit.core import CostMatrix, DiscreteMeasure, DomainError
+from otkit.core import (
+    CostMatrix,
+    DiscreteMeasure,
+    DomainError,
+    as_matrix,
+    as_weights,
+    reg_primal_objective,
+)
 from otkit.oracle import (
     exact_barycenter_lp,
     exact_ot_lp,
-    regularized_wb_grid,
     simplex_solve,
     _run_simplex,
     _transport_simplex,
@@ -307,6 +314,57 @@ class TestExactBarycenterLp:
             exact_barycenter_lp(ms, C)
 
 
+#: The grid search below refuses larger supports.
+MAX_GRID_SUPPORT = 3
+
+
+def regularized_wb_grid(measures, C, gamma: float, grid_step: float) -> tuple[np.ndarray, float]:
+    """Brute-force regularized barycenter over a simplex grid.
+
+    Evaluates the averaged regularized transport value at every strictly
+    interior grid point of spacing ``grid_step`` (boundary points are
+    skipped: the Sinkhorn evaluation needs positive marginals, and the
+    entropic minimizer is interior).  Intended for n <= 3 only.
+    """
+    C = as_matrix(C)
+    ps = [as_weights(m) for m in measures]
+    n = ps[0].size
+    if n > MAX_GRID_SUPPORT:
+        raise DomainError(f"regularized_wb_grid refuses n={n} > {MAX_GRID_SUPPORT}")
+    k = int(round(1.0 / grid_step))
+    if k < 2:
+        raise DomainError("grid_step too coarse")
+
+    def reg_ot_value(p, q) -> float:
+        _, plan = sinkhorn_solve(C, gamma, p, q, eps_prime=1e-10, check_every=1)
+        return reg_primal_objective(plan.entries, C, gamma)
+
+    best_q, best_val = None, np.inf
+    for q in _interior_grid(n, k):
+        val = float(np.mean([reg_ot_value(p, q) for p in ps]))
+        if val < best_val:
+            best_q, best_val = q, val
+    if best_q is None:
+        raise DomainError("grid contains no interior point; refine grid_step")
+    return best_q, best_val
+
+
+def _interior_grid(n: int, k: int):
+    """Yield simplex points with all coordinates positive multiples of 1/k."""
+    if n == 1:
+        yield np.array([1.0])
+        return
+    if n == 2:
+        for i in range(1, k):
+            yield np.array([i / k, (k - i) / k])
+        return
+    for i in range(1, k - 1):
+        for j in range(1, k - i):
+            rest = k - i - j
+            if rest >= 1:
+                yield np.array([i / k, j / k, rest / k])
+
+
 class TestRegularizedGrid:
     def test_identical_measures_small_gamma(self):
         # at small gamma the regularized minimizer is near p, so the best
@@ -344,8 +402,6 @@ def test_grid_consistent_with_long_sinkhorn():
     C, p, q = random_instance(98, 2)
     gamma = 0.3 * C.inf_norm
     state, plan = sinkhorn_solve(C, gamma, p, q, eps_prime=1e-10, check_every=1)
-    from otkit.core import reg_primal_objective
-
     direct = reg_primal_objective(plan.entries, C, gamma)
     q_grid, val = regularized_wb_grid([p], C, gamma, grid_step=0.02)
     # minimizing over q can only do as well as or better than W_gamma(p, q)

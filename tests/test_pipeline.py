@@ -153,3 +153,32 @@ def test_barycenter_on_asymmetric_cost_within_eps(solver):
     _, optimum = exact_barycenter_lp(weights, C)
     value = np.mean([exact_ot_lp(C, w, q_bar).objective for w in weights])
     assert 0.0 <= value - optimum <= eps
+
+
+@pytest.mark.parametrize("solver", ["sinkhorn", "aam"])
+@pytest.mark.parametrize("p, q, eps, masses", [
+    ([0.3, 0.3], [0.5, 0.5], 0.05, "source mass 0.6, target mass 1"),
+    ([1.0, 1.0], [1.0, 1.0], 0.05, "source mass 2, target mass 2"),
+    ([1.0, 1.0], [1.0, 1.0], 9.0, "source mass 2, target mass 2"),
+    ([0.5, 0.5], [np.nan, 0.5], 0.05, "source mass 1, target mass nan"),
+], ids=["unequal-mass", "mass-2", "mass-2-short-circuit", "nan"])
+def test_transport_measures_must_be_probability_vectors(solver, p, q, eps, masses):
+    # Refused up front, before the short-circuit, naming both masses.
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DomainError, match=f"probability vectors: {masses}$"):
+        run(solver, C, [p, q], eps)
+
+
+@pytest.mark.parametrize("solver", ["sinkhorn", "ibp"])
+def test_last_trace_row_is_the_reported_dual(solver):
+    # The trace's dual column and the certificate read one stacked dual.
+    trace: list[dict] = []
+    if solver == "sinkhorn":
+        C, p, q = random_instance(3, 30)
+        _, report = approx_ot_sinkhorn(C, p, q, 0.05 * C.inf_norm, trace=trace)
+        traced = trace[-1]["dual_objective"]
+    else:
+        C, measures = random_measures(5, 4, 12)
+        _, _, report = barycenter_ibp(measures, C, 0.1 * C.inf_norm, trace=trace)
+        traced = trace[-1]["dual_value"]
+    assert traced == pytest.approx(report.extras["dual_value"], rel=1e-12, abs=0.0)

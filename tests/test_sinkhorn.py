@@ -14,6 +14,7 @@ from otkit.core import (
     reg_primal_objective,
     transport_cost,
 )
+from otkit.aam import dual_objective_lip
 from otkit.oracle import exact_ot_lp
 from otkit.rounding import round_to_polytope
 from otkit.sinkhorn import (
@@ -22,7 +23,6 @@ from otkit.sinkhorn import (
     SinkhornState,
     approx_ot_sinkhorn,
     coupled_plan,
-    dual_objective,
     kl_project,
     reg_gap_certificate,
     sinkhorn_solve,
@@ -102,24 +102,33 @@ class TestSinkhornStep:
             sinkhorn_step(SinkhornState.initial(4), C, 0.3, bad, q)
 
     def test_monotone_dual_descent(self):
+        # Each half-step is an exact block minimizer of the smooth dual.
         C, p, q = random_instance(3, 8)
         gamma = 0.1 * C.inf_norm
         state = SinkhornState.initial(8)
-        last = dual_objective(state.pot.u, state.pot.v, C, gamma, p, q)
+        last = dual_objective_lip(state.pot, C, gamma, p, q)
         for _ in range(40):
             state = sinkhorn_step(state, C, gamma, p, q)
-            value = dual_objective(state.pot.u, state.pot.v, C, gamma, p, q)
+            value = dual_objective_lip(state.pot, C, gamma, p, q)
             assert value <= last + 1e-12
             last = value
 
 
 def test_dual_objective_smoke():
-    # gamma * n^2 at the origin with zero cost
+    # 2 gamma ln n at the origin with zero cost; the origin already
+    # minimizes the dual along u up to a shift, so the traced dual of the
+    # first half-steps reads the same value.
     n, gamma = 5, 0.7
     p = np.full(n, 1.0 / n)
-    assert dual_objective(np.zeros(n), np.zeros(n), np.zeros((n, n)), gamma, p, p) == (
-        pytest.approx(gamma * n * n)
+    C = np.zeros((n, n))
+    assert dual_objective_lip((np.zeros(n), np.zeros(n)), C, gamma, p, p) == (
+        pytest.approx(2.0 * gamma * math.log(n))
     )
+    trace: list[dict] = []
+    sinkhorn_solve(C, gamma, p, p, 1e-12, check_every=1, trace=trace)
+    assert trace
+    for row in trace:
+        assert row["dual_objective"] == pytest.approx(2.0 * gamma * math.log(n))
 
 
 class TestSinkhornSolve:
@@ -248,7 +257,7 @@ class TestSinkhornSolve:
             kernel = kernel.half_step(t % 2 == 1, (p if t % 2 == 1 else q)[None])
             if t % 5 == 0:
                 u, v = kernel.potentials()
-                expected = dual_objective(u[0], v[0], C, gamma, p, q)
+                expected = dual_objective_lip((u[0], v[0]), C, gamma, p, q)
                 assert next(rows)["dual_objective"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_trace_columns(self):
