@@ -6,12 +6,10 @@ from .core import (
     CostMatrix,
     DiscreteMeasure,
     DomainError,
-    DualPotentials,
     InputError,
     NumericalError,
     OtError,
     ParameterError,
-    RegularizationParams,
     SolveReport,
     TransportPlan,
     kl_divergence,
@@ -23,20 +21,20 @@ from .core import (
 )
 from .rounding import round_to_polytope
 from .sinkhorn import (
-    RadiusBound,
     SinkhornState,
     approx_ot_sinkhorn,
     kl_project,
+    radius_bound,
     reg_gap_certificate,
     sinkhorn_solve,
     sinkhorn_step,
 )
 from .aam import (
     AamState,
-    DistanceBound,
     aam_iterate,
     aam_solve,
     accelerated_ot,
+    distance_bound,
     dual_objective_lip,
     dual_partial_gradients,
 )

@@ -27,6 +27,7 @@ from .core import (
     as_weights,
     marginal_violation,
     reg_primal_objective,
+    strictly_positive,
 )
 from .kernel import ScalingKernel, couplings, dual_value, log_kernel
 from .kernel import slope_and_curvature as _slope_and_curvature
@@ -79,29 +80,23 @@ class AamState:
         )
 
 
-@dataclass(frozen=True)
-class DistanceBound:
-    """Bound on the dual solution norm for the zero starting point."""
+def distance_bound(C, gamma: float, p, q) -> float:
+    """Bound on the dual solution norm for the zero starting point,
+    sqrt(n / 2) (||C||_inf - (gamma / 2) ln(min marginal entry)).
 
-    value: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value > 0):
-            raise DomainError("distance bound requires strictly positive marginals")
-
-    @classmethod
-    def from_instance(cls, C, gamma: float, p, q) -> "DistanceBound":
-        C = as_matrix(C)
-        p = as_weights(p)
-        q = as_weights(q)
-        smallest = min(p.min(), q.min())
-        if smallest <= 0:
-            raise DomainError("marginal must be strictly positive")
-        n = p.size
-        return cls(
-            math.sqrt(n / 2.0)
-            * (float(C.max()) - 0.5 * gamma * math.log(smallest))
-        )
+    Raises:
+        DomainError: if a marginal entry is not > 0, or the bound is not
+            finite and positive.
+    """
+    p = strictly_positive(as_weights(p), "marginal")
+    q = strictly_positive(as_weights(q), "marginal")
+    D = math.sqrt(p.size / 2.0) * (
+        float(as_matrix(C).max()) - 0.5 * gamma * math.log(min(p.min(), q.min()))
+    )
+    if not (math.isfinite(D) and D > 0):
+        raise DomainError(f"distance bound sqrt(n / 2) (||C||_inf - gamma ln min(p, q) / 2) = {D:g} "
+                          "is not finite and positive")
+    return D
 
 
 def dual_objective_lip(pot, C, gamma: float, p, q) -> float:
@@ -234,6 +229,11 @@ def _aam_step(state: AamState, log_kernel, scale: float, p, q=None) -> AamState:
     updates the momentum point, and folds the couplings at mu into the
     primal average.  phi at the new eta takes one more pass, through
     ``kernel.dual_value``.
+
+    Raises:
+        NumericalError: if phi(mu) is not finite, or if a step of weight
+            a = 0 leaves eta, zeta and A unchanged, a fixed point that every
+            later iteration would repeat.
     """
     m, n = p.shape
     eta, zeta = state.eta.reshape(m, 2 * n), state.zeta.reshape(m, 2 * n)
@@ -267,8 +267,9 @@ def _aam_step(state: AamState, log_kernel, scale: float, p, q=None) -> AamState:
 
     shape = state.eta.shape
     A = state.A_big
+    eta_new = np.concatenate([eta_u, eta_v], axis=1).reshape(shape)
     common = dict(
-        eta=np.concatenate([eta_u, eta_v], axis=1).reshape(shape),
+        eta=eta_new,
         mu=mu.reshape(shape),
         iteration=state.iteration + 1,
         phi_eta=phi_eta_new,
@@ -293,6 +294,11 @@ def _aam_step(state: AamState, log_kernel, scale: float, p, q=None) -> AamState:
     A_new = A + a
 
     zeta_new = _shift_blocks(zeta - a * np.concatenate([gu, gv], axis=1), n, q is not None)
+    if a == 0.0 and np.array_equal(zeta_new, zeta) and np.array_equal(eta_new, state.eta):
+        raise NumericalError(
+            f"AAM step weight a = 0 at iteration {state.iteration + 1} leaves eta, zeta and A "
+            "unchanged: every later iteration would repeat it"
+        )
 
     plan_avg = pi_mu if A_new == 0.0 else (a * pi_mu + A * state.plan_avg) / A_new
     return AamState(zeta=zeta_new.reshape(shape), A_big=A_new, plan_avg=plan_avg, **common)
@@ -378,11 +384,11 @@ def accelerated_ot(
     eps / 6.
     """
 
-    def solve(C, params, smoothed, smoothed_target):
+    def solve(C, gamma, eps_prime, smoothed, smoothed_target):
         ps, qs = smoothed[0].weights, smoothed_target.weights
-        state = AamState.initial(C, params.gamma)
+        state = AamState.initial(C, gamma)
         for _ in range(max_iter):
-            state = aam_iterate(state, C, params.gamma, ps, qs)
+            state = aam_iterate(state, C, gamma, ps, qs)
             yield state.plan_avg[None], state.phi_eta, state.iteration, {
                 "line_search_evals": state.line_search_evals,
                 "exp_passes": state.exp_passes,

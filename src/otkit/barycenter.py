@@ -24,6 +24,7 @@ from .core import (
     TransportPlan,
     as_potentials,
     as_weights,
+    strictly_positive,
 )
 from .aam import AamState, _aam_step
 from .kernel import (
@@ -38,10 +39,9 @@ from .kernel import (
 from .sinkhorn import (
     AIBP_SCHEDULE,
     IBP_SCHEDULE,
-    RadiusBound,
-    _require_positive,
     default_max_iter,
     epsilon_pipeline,
+    radius_bound,
 )
 
 IBP_TRACE_COLUMNS = ("sweep", "iteration", "dual_value", "marginal_spread")
@@ -58,10 +58,7 @@ class BarycenterProblem:
     def __post_init__(self):
         if not self.measures:
             raise DomainError("need at least one measure")
-        measures = tuple(
-            m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float))
-            for m in self.measures
-        )
+        measures = tuple(DiscreteMeasure(m) for m in self.measures)
         n = measures[0].n
         if any(m.n != n for m in measures):
             raise DomainError("all measures must share the same support size")
@@ -116,7 +113,7 @@ def ibp_step(state: WbDualState, problem: BarycenterProblem) -> WbDualState:
     marginal becomes p_l).  Both are half-steps of the stacked scaling
     kernel, which the returned state carries to the next call.
     """
-    p = _require_positive(problem.measure_stack())
+    p = strictly_positive(problem.measure_stack(), "marginal")
     kernel = state.kernel
     if kernel is None:
         kernel = ScalingKernel.start(problem.log_kernel, state.u, state.v)
@@ -158,9 +155,9 @@ def ibp_solve(
     """
     if not (eps_prime > 0):
         raise ParameterError("eps_prime must be positive")
-    p = _require_positive(problem.measure_stack())
+    p = strictly_positive(problem.measure_stack(), "marginal")
     if max_sweeps is None:
-        R = RadiusBound.from_instance(problem.cost, problem.gamma, p.ravel(), p.ravel()).value
+        R = radius_bound(problem.cost, problem.gamma, p.ravel(), p.ravel())
         max_sweeps = default_max_iter(R, eps_prime)
 
     state = WbDualState.initial(problem.m, problem.n)
@@ -223,9 +220,9 @@ def barycenter_ibp(
     rows.
     """
 
-    def solve(C, params, smoothed, _):
-        problem = BarycenterProblem(tuple(smoothed), C, params.gamma)
-        sol = ibp_solve(problem, params.eps_prime, max_sweeps=max_sweeps, trace=trace, checks=checks)
+    def solve(C, gamma, eps_prime, smoothed, _):
+        problem = BarycenterProblem(tuple(smoothed), C, gamma)
+        sol = ibp_solve(problem, eps_prime, max_sweeps=max_sweeps, trace=trace, checks=checks)
         yield sol.plans, wb_dual_objective(sol.state, problem), sol.state.iteration, {}
 
     return epsilon_pipeline(
@@ -273,13 +270,13 @@ def accelerated_ibp(
     at every eta.
     """
 
-    def solve(C, params, smoothed, _):
-        problem = BarycenterProblem(tuple(smoothed), C, params.gamma)
+    def solve(C, gamma, eps_prime, smoothed, _):
+        problem = BarycenterProblem(tuple(smoothed), C, gamma)
         m, n = problem.m, problem.n
         log_kernel, P = problem.log_kernel, problem.measure_stack()
-        state = AamState.initial(C.entries, params.gamma, m)
+        state = AamState.initial(C.entries, gamma, m)
         for _ in range(max_iter):
-            state = _aam_step(state, log_kernel, params.gamma / m, P)
+            state = _aam_step(state, log_kernel, gamma / m, P)
             if checks is not None:
                 eta = WbDualState(state.eta[:, :n], state.eta[:, n:], state.iteration)
                 checks.append(_ibp_check_row(eta, problem, kind=state.block))

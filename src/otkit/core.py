@@ -1,10 +1,12 @@
 """Shared numerical primitives for entropic optimal transport.
 
-Discrete measures, cost matrices, transport plans and dual potentials,
-plus entropy/KL functionals, the l1 marginal-violation metric, a
-max-subtracting log-sum-exp, and the marginal-smoothing transform used
-by the approximation pipelines.  The coupling B(u, v) is built by
-``kernel.ScalingKernel`` (``sinkhorn.coupled_plan``).
+Discrete measures, cost matrices and transport plans; the one
+strict-positivity check (``strictly_positive``, which refuses NaN too)
+behind every solver's marginals; entropy/KL functionals, the l1
+marginal-violation metric, a max-subtracting log-sum-exp, and the
+marginal-smoothing transform used by the approximation pipelines.  The
+coupling B(u, v) is built by ``kernel.ScalingKernel``
+(``sinkhorn.coupled_plan``).
 
 All values are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -71,6 +73,10 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.weights, DiscreteMeasure):
+            # Checked, normalized and frozen already: share its weights.
+            object.__setattr__(self, "weights", self.weights.weights)
+            return
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DomainError("measure weights must be a nonempty 1-d vector")
@@ -193,45 +199,6 @@ class TransportPlan:
         return np.asarray(self.entries, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class DualPotentials:
-    """Dual vector pair (u, v) after the change of variables."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        if u.ndim != 1 or v.ndim != 1:
-            raise DomainError("dual potentials must be 1-d vectors")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise NumericalError("dual potentials must be finite")
-        object.__setattr__(self, "u", _freeze(u))
-        object.__setattr__(self, "v", _freeze(v))
-
-    @classmethod
-    def zeros(cls, n: int) -> "DualPotentials":
-        return cls(np.zeros(n), np.zeros(n))
-
-
-@dataclass(frozen=True)
-class RegularizationParams:
-    """Bundle of (gamma, eps, eps_prime) with the admissible ranges enforced."""
-
-    gamma: float
-    eps: float
-    eps_prime: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ParameterError("gamma must be positive")
-        if not (self.eps > 0):
-            raise ParameterError("eps must be positive")
-        if not (0 < self.eps_prime < 2):
-            raise ParameterError("eps_prime must lie in (0, 2)")
-
-
 @dataclass
 class SolveReport:
     """Outcome of one solver run: objective, certificate and trace.
@@ -264,6 +231,16 @@ def as_weights(m) -> np.ndarray:
     return w
 
 
+def strictly_positive(w, what: str) -> np.ndarray:
+    """``w`` as a float array, refused unless every entry is > 0: a zero,
+    negative or NaN entry is a ``DomainError`` that names ``what``."""
+    w = np.asarray(w, dtype=float)
+    bad = ~(w > 0)
+    if bad.any():
+        raise DomainError(f"{what} must be strictly positive, found {float(w[bad][0]):g}")
+    return w
+
+
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
@@ -272,7 +249,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_potentials(pot) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) as float arrays, from a DualPotentials-like object or a pair."""
+    """(u, v) as float arrays, from a state with ``u`` and ``v`` or a pair."""
     u, v = (pot.u, pot.v) if hasattr(pot, "u") else pot
     return np.asarray(u, dtype=float), np.asarray(v, dtype=float)
 
@@ -313,9 +290,7 @@ def logsumexp(values, weights=None) -> float:
     w = np.asarray(weights, dtype=float)
     if w.shape != x.shape:
         raise DomainError("values and weights must have the same length")
-    if np.any(w <= 0):
-        raise DomainError("logsumexp weights must be strictly positive")
-    return float(lse(x + np.log(w)))
+    return float(lse(x + np.log(strictly_positive(w, "logsumexp weights"))))
 
 
 def _xlogy(x, y) -> np.ndarray:

@@ -24,6 +24,7 @@ from .core import (
     SolveReport,
     as_matrix,
     as_weights,
+    strictly_positive,
 )
 from .kernel import conjugate_gradients, conjugate_pass, conjugate_values, fenchel_dual_values
 
@@ -165,9 +166,7 @@ def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
     (m, batch, n) pass; in expectation each row is the
     ``fenchel_dual_gradients`` row.
     """
-    P = np.asarray(P, dtype=float)
-    if np.any(P <= 0):
-        raise DomainError("measure must be strictly positive")
+    P = strictly_positive(P, "marginal")
     xi = sample_columns(P, batch, rng)
     return conjugate_pass(U, as_matrix(C)[xi], gamma)[0].mean(axis=1)
 
@@ -259,7 +258,7 @@ def simulate_decentralized_barycenter(
     Output is a pure function of (inputs, seed): draws are taken node by
     node, in id order, within each round.
     """
-    ms = [m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(np.asarray(m, float)) for m in measures]
+    ms = [DiscreteMeasure(m) for m in measures]
     if len(ms) != graph.m:
         raise DomainError("need exactly one measure per node")
     C = CostMatrix(C)

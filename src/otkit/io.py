@@ -28,7 +28,8 @@ def _parse_float(token: str, path, lineno: int) -> float:
 
 
 def load_measure(path) -> DiscreteMeasure:
-    """Read a measure CSV (one nonnegative real per line), auto-normalizing."""
+    """Read a measure CSV (one nonnegative real per line), auto-normalizing;
+    ``DiscreteMeasure`` names what makes it invalid, after the path."""
     m = load_matrix(path)
     if m.shape[1] != 1:
         raise InputError(f"{path}: expected one value per line, got {m.shape[1]} columns")
@@ -36,13 +37,14 @@ def load_measure(path) -> DiscreteMeasure:
     if np.any(w < 0):
         bad = int(np.argmin(w)) + 1
         raise InputError(f"{path}:{bad}: negative measure entry")
+    try:
+        measure = DiscreteMeasure(w)
+    except DomainError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     total = w.sum()
     if abs(total - 1.0) > MEASURE_SUM_WARN_TOL:
-        warnings.warn(
-            f"{path}: weights sum to {total:.12g}; renormalizing to 1",
-            stacklevel=2,
-        )
-    return DiscreteMeasure(w)
+        warnings.warn(f"{path}: weights sum to {total:.12g}; renormalizing to 1", stacklevel=2)
+    return measure
 
 
 def load_matrix(path) -> np.ndarray:

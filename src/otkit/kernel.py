@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DomainError, NumericalError, ParameterError, as_matrix, lse
+from .core import DomainError, NumericalError, ParameterError, as_matrix, lse, strictly_positive
 
 #: A half-step whose new scalings leave [1/SCALING_BOUND, SCALING_BOUND] is
 #: redone in the log domain.  Within the bound, a kernel entry that
@@ -226,9 +226,7 @@ def conjugate_values(P, lse_rows, gamma: float) -> np.ndarray:
     """The per-row dual values gamma <p, lse_rows> - gamma <p, ln p> of two
     (m, n) stacks, from the log-sum-exps of a ``conjugate_pass`` over the
     cost matrix."""
-    P = np.asarray(P, dtype=float)
-    if np.any(P <= 0):
-        raise DomainError("measure must be strictly positive")
+    P = strictly_positive(P, "marginal")
     return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
 
 

@@ -4,11 +4,12 @@ Every half-step runs on ``kernel.ScalingKernel``, the
 absorption-stabilized matrix-scaling kernel (Schmitzer, "Stabilized
 sparse scaling algorithms for entropy regularized transport problems",
 SIAM J. Sci. Comput. 2019): alternating exact block minimization of the
-dual and its KL-projection reformulation.  Around it sit a computable
-suboptimality certificate and the one epsilon-approximation pipeline
-(``epsilon_pipeline``) that Sinkhorn, the accelerated scheme and both
-barycenter solvers run through: short-circuit, schedule, smoothing,
-solve, rounding and certificate.
+dual and its KL-projection reformulation; ``SinkhornState`` holds the
+potentials u and v.  Around it sit the dual radius R (``radius_bound``, a
+float), the suboptimality certificate (gamma R / 2) * violation, and the
+one epsilon-approximation pipeline (``epsilon_pipeline``) that Sinkhorn,
+the accelerated scheme and both barycenter solvers run through:
+short-circuit, schedule, smoothing, solve, rounding and certificate.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from .core import (
     CostMatrix,
     DiscreteMeasure,
     DomainError,
-    DualPotentials,
     ParameterError,
-    RegularizationParams,
     SolveReport,
     TransportPlan,
     as_matrix,
@@ -34,6 +33,7 @@ from .core import (
     marginal_violation,
     neg_entropy,
     smooth_measure,
+    strictly_positive,
     transport_cost,
 )
 from .kernel import ScalingKernel, dual_value, log_kernel
@@ -43,46 +43,35 @@ TRACE_COLUMNS = ("iteration", "violation", "dual_objective", "certificate")
 
 @dataclass(frozen=True)
 class SinkhornState:
-    """Dual iterate, half-step counter, last measured l1 violation, and the
-    number of times the scaling kernel absorbed its scalings."""
+    """Dual iterate (u, v), half-step counter, last measured l1 violation,
+    and the number of times the scaling kernel absorbed its scalings."""
 
-    pot: DualPotentials
+    u: np.ndarray
+    v: np.ndarray
     iteration: int = 0
     last_violation: float = math.inf
     absorptions: int = 0
 
     @classmethod
     def initial(cls, n: int) -> "SinkhornState":
-        return cls(pot=DualPotentials.zeros(n))
+        return cls(np.zeros(n), np.zeros(n))
 
 
-@dataclass(frozen=True)
-class RadiusBound:
-    """Dual-iterate radius R = ||C||_inf / gamma - ln(min marginal entry)."""
+def radius_bound(C, gamma: float, p, q) -> float:
+    """Dual-iterate radius R = ||C||_inf / gamma - ln(min marginal entry).
 
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise DomainError("radius bound is not finite; marginals must be strictly positive")
-
-    @classmethod
-    def from_instance(cls, C, gamma: float, p, q) -> "RadiusBound":
-        if not (gamma > 0):
-            raise ParameterError("gamma must be positive")
-        C = as_matrix(C)
-        p = as_weights(p)
-        q = as_weights(q)
-        smallest = min(p.min(), q.min())
-        if smallest <= 0:
-            raise DomainError("marginal must be strictly positive")
-        return cls(float(C.max()) / gamma - math.log(smallest))
-
-
-def _require_positive(w: np.ndarray) -> np.ndarray:
-    if np.any(w <= 0):
-        raise DomainError("marginal must be strictly positive")
-    return w
+    Raises:
+        DomainError: if a marginal entry is not > 0, or R is not finite
+            (||C||_inf / gamma overflows).
+    """
+    if not (gamma > 0):
+        raise ParameterError("gamma must be positive")
+    p = strictly_positive(as_weights(p), "marginal")
+    q = strictly_positive(as_weights(q), "marginal")
+    R = float(as_matrix(C).max()) / gamma - math.log(min(p.min(), q.min()))
+    if not math.isfinite(R):
+        raise DomainError(f"radius bound ||C||_inf / gamma - ln min(p, q) = {R:g} is not finite")
+    return R
 
 
 def coupled_plan(u, v, C, gamma: float) -> np.ndarray:
@@ -106,15 +95,16 @@ def sinkhorn_step(state: SinkhornState, C, gamma: float, p, q) -> SinkhornState:
     matches its target to float precision.  This is one half-step of the
     scaling kernel, started at the state's potentials.
     """
-    p = _require_positive(as_weights(p))
-    q = _require_positive(as_weights(q))
+    p = strictly_positive(as_weights(p), "marginal")
+    q = strictly_positive(as_weights(q), "marginal")
     rows = state.iteration % 2 == 0
-    kernel = ScalingKernel.start(log_kernel(C, gamma), state.pot.u[None], state.pot.v[None])
+    kernel = ScalingKernel.start(log_kernel(C, gamma), state.u[None], state.v[None])
     kernel = kernel.half_step(rows, (p if rows else q)[None])
     u, v = kernel.potentials()
     violation = marginal_violation(_coupling_sums(kernel), p, q)
     return SinkhornState(
-        DualPotentials(u[0], v[0]),
+        u[0],
+        v[0],
         state.iteration + 1,
         violation,
         state.absorptions + kernel.absorptions,
@@ -127,8 +117,8 @@ def reg_gap_certificate(state: SinkhornState, C, gamma: float, p, q) -> float:
     Bounds g(pi(u, v)) - g(pi*_gamma) for the current coupling; zero once
     the coupling is feasible.
     """
-    R = RadiusBound.from_instance(C, gamma, p, q).value
-    plan = coupled_plan(state.pot.u, state.pot.v, C, gamma)
+    R = radius_bound(C, gamma, p, q)
+    plan = coupled_plan(state.u, state.v, C, gamma)
     return 0.5 * gamma * R * marginal_violation(plan, p, q)
 
 
@@ -176,9 +166,8 @@ def sinkhorn_solve(
     if check_every < 1:
         raise ParameterError("check_every must be >= 1")
     C = as_matrix(C)
-    p = _require_positive(as_weights(p))
-    q = _require_positive(as_weights(q))
-    R = RadiusBound.from_instance(C, gamma, p, q).value
+    R = radius_bound(C, gamma, p, q)
+    p, q = as_weights(p), as_weights(q)
     if max_iter is None:
         max_iter = default_max_iter(R, eps_prime)
 
@@ -206,8 +195,7 @@ def sinkhorn_solve(
                     }
                 )
             if violation <= eps_prime:
-                pot = DualPotentials(u[0], v[0])
-                state = SinkhornState(pot, t, violation, kernel.absorptions)
+                state = SinkhornState(u[0], v[0], t, violation, kernel.absorptions)
                 return state, TransportPlan(kernel.plans()[0])
 
     raise ConvergenceError(
@@ -226,9 +214,8 @@ def kl_project(plan, target, axis: str) -> np.ndarray:
     kernel.
     """
     pi = as_matrix(plan)
-    t = _require_positive(as_weights(target))
-    if np.any(pi <= 0):
-        raise DomainError("kl_project requires a strictly positive plan")
+    t = strictly_positive(as_weights(target), "marginal")
+    strictly_positive(pi, "kl_project plan")
     if axis == "rows":
         return pi * (t / pi.sum(axis=1))[:, None]
     if axis == "columns":
@@ -322,7 +309,7 @@ def epsilon_pipeline(
     mean measure and the plans are p_l q', without a solve.  Otherwise
     the schedule gives gamma (unless ``gamma`` overrides it) and eps', the
     measures and the target are smoothed, and
-    ``solve(C, params, smoothed, smoothed_target)`` yields
+    ``solve(C, gamma, eps_prime, smoothed, smoothed_target)`` yields
     (couplings, phi, iteration, extras): m (n, n) couplings, the dual
     value phi that certifies them, and solver diagnostics.  Each yield's
     couplings are rounded onto U(p_l, q) with the caller's p_l.  A solver
@@ -336,8 +323,9 @@ def epsilon_pipeline(
 
     Raises:
         DomainError: if C is not square, finite and nonnegative, a
-            measure's size does not match it, or a transport measure's
-            mass is not within 1e-9 of 1.
+            measure's size does not match it, or a transport measure has
+            a negative entry or a mass not within 1e-9 of 1.
+        ParameterError: if eps or gamma is not > 0.
         ConvergenceError: if ``solve`` stops yielding before the stop test
             passes.
     """
@@ -345,7 +333,7 @@ def epsilon_pipeline(
         raise ParameterError("eps must be positive")
     C = CostMatrix(C)
     if target is None:
-        rows = [(m if isinstance(m, DiscreteMeasure) else DiscreteMeasure(m)).weights for m in measures]
+        rows = [DiscreteMeasure(m).weights for m in measures]
     else:
         target = as_weights(target)
         rows = [as_weights(measures)]
@@ -363,6 +351,10 @@ def epsilon_pipeline(
                 "transport measures must be probability vectors: "
                 f"source mass {masses[0]:.12g}, target mass {masses[1]:.12g}"
             )
+        for name, w in (("source", P[0]), ("target", target)):
+            if w.min() < 0:
+                i = int(w.argmin())
+                raise DomainError(f"{name} measure entry {i} is {w[i]:.12g}; it must be >= 0")
     record = dict(
         gamma=None, eps=eps, eps_prime=None, short_circuit=True, gamma_override=gamma is not None
     )
@@ -382,26 +374,27 @@ def epsilon_pipeline(
             extras=dict.fromkeys(GAP_KEYS),
         )
 
-    params = RegularizationParams(
-        gamma=eps / (schedule.gamma_div * math.log(n)) if gamma is None else gamma,
-        eps=eps,
-        eps_prime=eps / (schedule.eps_prime_div * C.inf_norm),
-    )
-    record.update(gamma=params.gamma, eps_prime=params.eps_prime, short_circuit=False)
-    weight = params.eps_prime / schedule.smooth_div
+    if gamma is None:
+        gamma = eps / (schedule.gamma_div * math.log(n))
+    if not (gamma > 0):
+        raise ParameterError(f"gamma must be positive, got {gamma!r}")
+    # eps < 8 ||C||_inf here, so eps' < 8 / eps_prime_div <= 2.
+    eps_prime = eps / (schedule.eps_prime_div * C.inf_norm)
+    record.update(gamma=gamma, eps_prime=eps_prime, short_circuit=False)
+    weight = eps_prime / schedule.smooth_div
     smoothed = [smooth_measure(p, weight) for p in P]
     smoothed_target = None if target is None else smooth_measure(target, weight)
     smoothed_stack = np.stack([m.weights for m in smoothed])
     stop = None if schedule.stop_div is None else eps / schedule.stop_div
     iteration = 0
-    for couplings, phi, iteration, extras in solve(C, params, smoothed, smoothed_target):
+    for couplings, phi, iteration, extras in solve(C, gamma, eps_prime, smoothed, smoothed_target):
         if target is None:
             masses = np.array([plan.sum() for plan in couplings])
             q = np.sum([plan.sum(axis=0) for plan in couplings], axis=0) / masses.sum()
         else:
             q = target
         rounded, objective, primal, gap, cost_gap = _round_with_gaps(
-            couplings, P, q, C, params.gamma, phi
+            couplings, P, q, C, gamma, phi
         )
         if stop is not None:
             if trace is not None:
@@ -442,14 +435,14 @@ def approx_ot_sinkhorn(
     at its final potentials.  ``trace`` collects ``sinkhorn_solve``'s rows.
     """
 
-    def solve(C, params, smoothed, smoothed_target):
+    def solve(C, gamma, eps_prime, smoothed, smoothed_target):
         ps, qs = smoothed[0].weights, smoothed_target.weights
         state, plan = sinkhorn_solve(
-            C, params.gamma, ps, qs, params.eps_prime / 2.0, max_iter=max_iter, trace=trace
+            C, gamma, ps, qs, eps_prime / 2.0, max_iter=max_iter, trace=trace
         )
         couplings = plan.entries[None]
         phi = dual_value(
-            state.pot.u[None], state.pot.v[None], None, params.gamma, ps[None], qs[None],
+            state.u[None], state.v[None], None, gamma, ps[None], qs[None],
             log_mass=np.log(couplings.sum(axis=(1, 2))),
         )
         yield couplings, phi, state.iteration, {"violation_at_exit": state.last_violation}

@@ -81,7 +81,7 @@ def criterion_1() -> CriterionResult:
         n = 8 if k < 10 else 32
         C, p, q = ot_instance(100 + k, n)
         gamma = 0.1 * C.inf_norm
-        R = sinkhorn.RadiusBound.from_instance(C, gamma, p, q).value
+        R = sinkhorn.radius_bound(C, gamma, p, q)
         state = sinkhorn.SinkhornState.initial(n)
         for _ in range(500):
             state = sinkhorn.sinkhorn_step(state, C, gamma, p, q)
@@ -183,7 +183,7 @@ def criterion_4() -> CriterionResult:
         eps_prime = report.params["eps_prime"]
         weight = eps_prime / sinkhorn.AAM_SCHEDULE.smooth_div
         p_s, q_s = smooth_measure(p.weights, weight), smooth_measure(q.weights, weight)
-        D = aam.DistanceBound.from_instance(C, gamma, p_s.weights, q_s.weights).value
+        D = aam.distance_bound(C, gamma, p_s.weights, q_s.weights)
         for row in trace:
             t = row["iteration"]
             gap_bound = 32.0 * D * D / (gamma * t * t)
@@ -503,7 +503,7 @@ def criterion_9() -> CriterionResult:
                 plan_kl = sinkhorn.kl_project(plan_kl, p.weights, "rows")
             else:
                 plan_kl = sinkhorn.kl_project(plan_kl, q.weights, "columns")
-            plan_log = sinkhorn.coupled_plan(state.pot.u, state.pot.v, C, gamma)
+            plan_log = sinkhorn.coupled_plan(state.u, state.v, C, gamma)
             diff = float(np.abs(plan_log - plan_kl).max())
             if diff > 1e-9:
                 failures.append(f"instance {k}: plans diverge by {diff:.2e} at t={t + 1}")

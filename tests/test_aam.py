@@ -1,6 +1,7 @@
 """Accelerated alternating minimization: smooth dual, iterate algebra, pipeline."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from scipy.special import logsumexp
 
 from otkit.aam import (
     AamState,
-    DistanceBound,
     _aam_step,
     _dual_at,
     _slope_and_curvature,
     aam_iterate,
     aam_solve,
     accelerated_ot,
+    distance_bound,
     dual_objective_lip,
     dual_partial_gradients,
     newton_line_search,
@@ -65,7 +66,7 @@ class TestSmoothDual:
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
         gamma = 0.05
         state, plan = sinkhorn_solve(C, gamma, p, q, 1e-11, check_every=1)
-        phi = dual_objective_lip(state.pot, C, gamma, p, q)
+        phi = dual_objective_lip(state, C, gamma, p, q)
         assert -phi == pytest.approx(reg_primal_objective(plan.entries, C, gamma), abs=1e-9)
 
 
@@ -454,7 +455,7 @@ class TestDistanceBound:
     def test_formula(self):
         C, p, q = random_instance(39, 8)
         gamma = 0.3
-        D = DistanceBound.from_instance(C, gamma, p, q).value
+        D = distance_bound(C, gamma, p, q)
         expected = math.sqrt(4.0) * (
             C.inf_norm - 0.5 * gamma * math.log(min(p.min(), q.min()))
         )
@@ -462,10 +463,19 @@ class TestDistanceBound:
 
     def test_positive(self):
         C, p, q = random_instance(39, 8)
-        assert DistanceBound.from_instance(C, 0.3, p, q).value > 0
+        assert distance_bound(C, 0.3, p, q) > 0
 
 
 class TestAcceleratedPipeline:
+    def test_zero_weight_fixed_point_is_named(self):
+        # From iteration 15 on every step has weight 0 and changes nothing.
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        p, q = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="weight a = 0 at iteration 15 leaves eta"):
+            accelerated_ot(C, p, q, eps=0.05)
+        assert time.perf_counter() - start < 1.0
+
     def test_two_by_two_within_window(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
         p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
@@ -496,7 +506,7 @@ class TestAcceleratedPipeline:
         gamma = report.params["gamma"]
         weight = report.params["eps_prime"] / AAM_SCHEDULE.smooth_div
         ps, qs = smooth_measure(p, weight), smooth_measure(q, weight)
-        D = DistanceBound.from_instance(C, gamma, ps.weights, qs.weights).value
+        D = distance_bound(C, gamma, ps.weights, qs.weights)
         for row in trace:
             t = row["iteration"]
             assert abs(row["duality_gap"]) <= 32.0 * D * D / (gamma * t * t)

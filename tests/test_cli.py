@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,19 @@ class TestIo:
         with pytest.raises(InputError, match=match) as err:
             io.load_cost(tmp_path / "C.csv")
         assert str(err.value).startswith(f"{tmp_path / 'C.csv'}: ")
+
+    @pytest.mark.parametrize("text, match", [
+        ("0.5\nnan\n", "finite"),
+        ("0.5\ninf\n", "finite"),
+        ("0\n0\n", "positive total mass"),
+    ], ids=["nan", "inf", "zero-sum"])
+    def test_invalid_measure_names_file_and_fault(self, tmp_path, text, match):
+        (tmp_path / "m.csv").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no renormalizing warning first
+            with pytest.raises(InputError, match=match) as err:
+                io.load_measure(tmp_path / "m.csv")
+        assert str(err.value).startswith(f"{tmp_path / 'm.csv'}: ")
 
     def test_edge_list_parsing(self, tmp_path):
         (tmp_path / "g.txt").write_text("0 1\n# comment\n1 2\n")
@@ -148,6 +162,18 @@ class TestCommands:
             "--output-dir", str(instance_dir / "out"),
         ])
         assert code == 2
+
+    def test_aam_zero_weight_fixed_point_exit_3(self, instance_dir, capsys):
+        io.save_vector(instance_dir / "p0.csv", np.array([0.0, 1.0]))
+        io.save_vector(instance_dir / "q0.csv", np.array([0.5, 0.5]))
+        code = cli.main([
+            "aam", "--cost", str(instance_dir / "C.csv"),
+            "--source", str(instance_dir / "p0.csv"),
+            "--target", str(instance_dir / "q0.csv"),
+            "--eps", "0.05", "--output-dir", str(instance_dir / "out"), "--quiet",
+        ])
+        assert code == 3
+        assert "weight a = 0 at iteration 15" in capsys.readouterr().err
 
     def test_round_command(self, instance_dir):
         io.save_matrix(instance_dir / "pi.csv", np.array([[0.5, 0.1], [0.1, 0.3]]))

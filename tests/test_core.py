@@ -11,10 +11,7 @@ from otkit.core import (
     CostMatrix,
     DiscreteMeasure,
     DomainError,
-    DualPotentials,
-    NumericalError,
     ParameterError,
-    RegularizationParams,
     TransportPlan,
     kl_divergence,
     logsumexp,
@@ -24,7 +21,11 @@ from otkit.core import (
     smooth_measure,
     transport_cost,
 )
-from otkit.sinkhorn import coupled_plan
+from otkit.aam import distance_bound
+from otkit.barycenter import BarycenterProblem, ibp_solve
+from otkit.decentralized import stochastic_dual_gradients
+from otkit.kernel import conjugate_values
+from otkit.sinkhorn import coupled_plan, radius_bound, sinkhorn_solve
 
 
 class TestDiscreteMeasure:
@@ -90,17 +91,36 @@ class TestTransportPlan:
         assert np.allclose(plan.col_marginals, [0.6, 0.4])
 
 
-def test_dual_potentials_reject_nonfinite():
-    with pytest.raises(NumericalError):
-        DualPotentials(np.array([0.0, np.nan]), np.zeros(2))
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("call", [
+    "sinkhorn_solve", "radius_bound", "distance_bound", "ibp_solve",
+    "conjugate_values", "stochastic_dual_gradients",
+])
+def test_marginals_must_be_strictly_positive(call, bad):
+    # One check behind every solver's marginals; a NaN fails it as a zero does.
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    good, p = np.array([0.5, 0.5]), np.array([1.0, bad])
+    calls = {
+        "sinkhorn_solve": lambda: sinkhorn_solve(C, 0.1, p, good, 1e-6),
+        "radius_bound": lambda: radius_bound(C, 0.1, good, p),
+        "distance_bound": lambda: distance_bound(C, 0.1, p, good),
+        # A NaN measure is refused by DiscreteMeasure, before ibp_solve.
+        "ibp_solve": lambda: ibp_solve(BarycenterProblem((good, p), C, 0.1), 1e-6),
+        "conjugate_values": lambda: conjugate_values(np.stack([good, p]), np.zeros((2, 2)), 0.1),
+        "stochastic_dual_gradients": lambda: stochastic_dual_gradients(
+            np.zeros((2, 2)), np.stack([good, p]), C, 0.1, np.random.default_rng(0)
+        ),
+    }
+    with pytest.raises(DomainError, match="marginal must be strictly positive|must be finite"):
+        calls[call]()
 
 
-def test_regularization_params_ranges():
-    RegularizationParams(gamma=0.1, eps=0.5, eps_prime=1.0)
-    with pytest.raises(ParameterError):
-        RegularizationParams(gamma=0.0, eps=0.5, eps_prime=1.0)
-    with pytest.raises(ParameterError):
-        RegularizationParams(gamma=0.1, eps=0.5, eps_prime=2.0)
+def test_radius_bound_overflow_names_the_bound():
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    p = np.array([0.5, 0.5])
+    with pytest.raises(DomainError, match=r"radius bound .* = inf is not finite") as err:
+        radius_bound(C, 1e-320, p, p)
+    assert "marginal" not in str(err.value)
 
 
 class TestLogsumexp:

@@ -8,7 +8,7 @@ import pytest
 
 from otkit.aam import accelerated_ot
 from otkit.barycenter import accelerated_ibp, barycenter_ibp
-from otkit.core import ConvergenceError, DiscreteMeasure, DomainError
+from otkit.core import ConvergenceError, DiscreteMeasure, DomainError, ParameterError
 from otkit.oracle import exact_barycenter_lp, exact_ot_lp
 from otkit.sinkhorn import GAP_KEYS, GAP_TRACE_COLUMNS, approx_ot_sinkhorn
 from conftest import random_instance, random_measures
@@ -98,6 +98,14 @@ def test_gamma_override_is_recorded():
         assert report.params["gamma_override"] is True
 
 
+@pytest.mark.parametrize("solver", [barycenter_ibp, accelerated_ibp])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan])
+def test_gamma_override_must_be_positive(solver, gamma):
+    C, measures = random_measures(66, 2, 4)
+    with pytest.raises(ParameterError, match="gamma must be positive"):
+        solver(measures, C, 0.3 * C.inf_norm, gamma=gamma)
+
+
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_mismatched_sizes_raise_domain_error(solver):
     C, measures = random_measures(81, 2, 4)
@@ -167,6 +175,18 @@ def test_transport_measures_must_be_probability_vectors(solver, p, q, eps, masse
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DomainError, match=f"probability vectors: {masses}$"):
         run(solver, C, [p, q], eps)
+
+
+@pytest.mark.parametrize("solver", ["sinkhorn", "aam"])
+@pytest.mark.parametrize("eps", [0.05, 9.0], ids=["solve", "short-circuit"])
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_negative_transport_entry_is_named(solver, eps, side):
+    # Unit mass, so only the entry check can refuse it, before the short-circuit.
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    good, bad = [0.5, 0.5], [1.5, -0.5]
+    measures = [bad, good] if side == "source" else [good, bad]
+    with pytest.raises(DomainError, match=f"^{side} measure entry 1 is -0.5; it must be >= 0$"):
+        run(solver, C, measures, eps)
 
 
 @pytest.mark.parametrize("solver", ["sinkhorn", "ibp"])

@@ -18,12 +18,12 @@ from otkit.aam import dual_objective_lip
 from otkit.oracle import exact_ot_lp
 from otkit.rounding import round_to_polytope
 from otkit.sinkhorn import (
-    RadiusBound,
     ScalingKernel,
     SinkhornState,
     approx_ot_sinkhorn,
     coupled_plan,
     kl_project,
+    radius_bound,
     reg_gap_certificate,
     sinkhorn_solve,
     sinkhorn_step,
@@ -56,7 +56,7 @@ class TestRadiusBound:
     def test_value(self):
         C, p, q = random_instance(1, 4)
         gamma = 0.5
-        R = RadiusBound.from_instance(C, gamma, p, q).value
+        R = radius_bound(C, gamma, p, q)
         assert R == pytest.approx(C.inf_norm / gamma - math.log(min(p.min(), q.min())))
 
     def test_requires_positive_marginals(self):
@@ -64,7 +64,7 @@ class TestRadiusBound:
         p = p.copy()
         p[0] = 0.0
         with pytest.raises(DomainError):
-            RadiusBound.from_instance(C, 0.5, p, q)
+            radius_bound(C, 0.5, p, q)
 
 
 class TestSinkhornStep:
@@ -72,7 +72,7 @@ class TestSinkhornStep:
         C, p, q = random_instance(2, 6)
         state = SinkhornState.initial(6)
         state = sinkhorn_step(state, C, 0.3, p, q)
-        plan = coupled_plan(state.pot.u, state.pot.v, C, 0.3)
+        plan = coupled_plan(state.u, state.v, C, 0.3)
         assert np.abs(plan.sum(axis=1) - p).max() <= 1e-9
 
     def test_col_marginal_exact_after_v_update(self):
@@ -80,7 +80,7 @@ class TestSinkhornStep:
         state = SinkhornState.initial(6)
         state = sinkhorn_step(state, C, 0.3, p, q)
         state = sinkhorn_step(state, C, 0.3, p, q)
-        plan = coupled_plan(state.pot.u, state.pot.v, C, 0.3)
+        plan = coupled_plan(state.u, state.v, C, 0.3)
         assert np.abs(plan.sum(axis=0) - q).max() <= 1e-9
 
     def test_uniform_constant_cost_fixed_in_two_steps(self):
@@ -90,7 +90,7 @@ class TestSinkhornStep:
         state = SinkhornState.initial(n)
         for _ in range(2):
             state = sinkhorn_step(state, C, 0.4, p, p)
-        plan = coupled_plan(state.pot.u, state.pot.v, C, 0.4)
+        plan = coupled_plan(state.u, state.v, C, 0.4)
         assert np.allclose(plan, 1.0 / n**2, atol=1e-12)
         assert state.last_violation <= 1e-12
 
@@ -106,10 +106,10 @@ class TestSinkhornStep:
         C, p, q = random_instance(3, 8)
         gamma = 0.1 * C.inf_norm
         state = SinkhornState.initial(8)
-        last = dual_objective_lip(state.pot, C, gamma, p, q)
+        last = dual_objective_lip(state, C, gamma, p, q)
         for _ in range(40):
             state = sinkhorn_step(state, C, gamma, p, q)
-            value = dual_objective_lip(state.pot, C, gamma, p, q)
+            value = dual_objective_lip(state, C, gamma, p, q)
             assert value <= last + 1e-12
             last = value
 
@@ -152,7 +152,7 @@ class TestSinkhornSolve:
         for seed, n in ((10, 8), (11, 16)):
             C, p, q = random_instance(seed, n)
             gamma = 0.1 * C.inf_norm
-            R = RadiusBound.from_instance(C, gamma, p, q).value
+            R = radius_bound(C, gamma, p, q)
             state = SinkhornState.initial(n)
             for _ in range(200):
                 state = sinkhorn_step(state, C, gamma, p, q)
@@ -163,7 +163,7 @@ class TestSinkhornSolve:
         C, p, q = random_instance(12, 6)
         gamma = 0.2 * C.inf_norm
         eps_prime = 1e-2
-        R = RadiusBound.from_instance(C, gamma, p, q).value
+        R = radius_bound(C, gamma, p, q)
         state, _ = sinkhorn_solve(C, gamma, p, q, eps_prime, check_every=1)
         assert state.iteration <= 2.0 + 4.0 * R / eps_prime + 1.0
 
@@ -263,7 +263,7 @@ class TestSinkhornSolve:
     def test_trace_columns(self):
         C, p, q = random_instance(15, 4)
         gamma = 0.3
-        R = RadiusBound.from_instance(C, gamma, p, q).value
+        R = radius_bound(C, gamma, p, q)
         trace: list[dict] = []
         sinkhorn_solve(C, gamma, p, q, 1e-6, check_every=1, trace=trace)
         assert set(trace[0]) == {"iteration", "violation", "dual_objective", "certificate"}
@@ -308,7 +308,7 @@ class TestKlProject:
         for t in range(30):
             state = sinkhorn_step(state, C, gamma, p, q)
             plan_kl = kl_project(plan_kl, p if t % 2 == 0 else q, "rows" if t % 2 == 0 else "columns")
-            assert np.abs(coupled_plan(state.pot.u, state.pot.v, C, gamma) - plan_kl).max() <= 1e-9
+            assert np.abs(coupled_plan(state.u, state.v, C, gamma) - plan_kl).max() <= 1e-9
 
     def test_invalid_axis(self):
         from otkit.core import ParameterError
@@ -329,8 +329,8 @@ class TestCertificate:
         gamma = 0.3
         state = sinkhorn_step(SinkhornState.initial(5), C, gamma, p, q)
         cert = reg_gap_certificate(state, C, gamma, p, q)
-        R = RadiusBound.from_instance(C, gamma, p, q).value
-        plan = coupled_plan(state.pot.u, state.pot.v, C, gamma)
+        R = radius_bound(C, gamma, p, q)
+        plan = coupled_plan(state.u, state.v, C, gamma)
         assert cert == pytest.approx(0.5 * gamma * R * marginal_violation(plan, p, q))
 
     def test_bounds_true_regularized_gap(self):
@@ -342,7 +342,7 @@ class TestCertificate:
         state = SinkhornState.initial(8)
         for _ in range(60):
             state = sinkhorn_step(state, C, gamma, p, q)
-            plan = coupled_plan(state.pot.u, state.pot.v, C, gamma)
+            plan = coupled_plan(state.u, state.v, C, gamma)
             gap = reg_primal_objective(plan, C, gamma) - g_star
             assert gap <= reg_gap_certificate(state, C, gamma, p, q) + 1e-10
 
