@@ -94,8 +94,7 @@ def distance_bound(C, gamma: float, p, q) -> float:
         float(as_matrix(C).max()) - 0.5 * gamma * math.log(min(p.min(), q.min()))
     )
     if not (math.isfinite(D) and D > 0):
-        raise DomainError(f"distance bound sqrt(n / 2) (||C||_inf - gamma ln min(p, q) / 2) = {D:g} "
-                          "is not finite and positive")
+        raise DomainError(f"distance bound D = {D:g} is not finite and positive")
     return D
 
 

@@ -47,6 +47,10 @@ class TestDiscreteMeasure:
         with pytest.raises(ValueError):
             m.weights[0] = 1.0
 
+    def test_rewrapping_shares_weights(self):
+        m = DiscreteMeasure(np.array([1.0, 3.0]))
+        assert DiscreteMeasure(m).weights is m.weights
+
 
 class TestCostMatrix:
     def test_inf_norm_cached(self):
