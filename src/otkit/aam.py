@@ -328,10 +328,15 @@ def aam_solve(
     rounded plan's objective, so the sandwich width certifies the dual
     estimate.  Stops once the width is <= gap_tol; the report's objective
     is -phi(eta) and the certificate is the final width.
+
+    Raises:
+        DomainError: if a marginal entry is not > 0.
+        ConvergenceError: if the width stays above gap_tol for max_iter
+            iterations.
     """
     C = as_matrix(C)
-    p = as_weights(p)
-    q = as_weights(q)
+    p = strictly_positive(as_weights(p), "marginal")
+    q = strictly_positive(as_weights(q), "marginal")
     state = AamState.initial(C, gamma)
     for _ in range(max_iter):
         state = aam_iterate(state, C, gamma, p, q)
@@ -379,16 +384,20 @@ def accelerated_ot(
 
     Runs ``sinkhorn.epsilon_pipeline`` with ``AAM_SCHEDULE``: every
     iteration's averaged plan is rounded onto U(p, q), and the solve stops
-    once the rounding cost gap and the duality gap at eta both fall below
-    eps / 6.
+    at the first iteration whose rounded plan costs at most eps above
+    ``sinkhorn.lp_lower_bound`` at gamma times the v block of eta.  The
+    plan returned is thus anywhere within eps of the LP optimum, and the
+    report's certificate is its proven distance from the bound.
     """
 
     def solve(C, gamma, eps_prime, smoothed, smoothed_target):
-        ps, qs = smoothed[0].weights, smoothed_target.weights
+        L, n = log_kernel(C, gamma), C.n
+        ps, qs = smoothed[0].weights[None], smoothed_target.weights[None]
         state = AamState.initial(C, gamma)
         for _ in range(max_iter):
-            state = aam_iterate(state, C, gamma, ps, qs)
-            yield state.plan_avg[None], state.phi_eta, state.iteration, {
+            state = _aam_step(state, L, gamma, ps, qs)
+            G = gamma * state.eta[None, n:]
+            yield state.plan_avg[None], G, state.phi_eta, state.iteration, {
                 "line_search_evals": state.line_search_evals,
                 "exp_passes": state.exp_passes,
             }

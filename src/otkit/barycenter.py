@@ -223,7 +223,8 @@ def barycenter_ibp(
     def solve(C, gamma, eps_prime, smoothed, _):
         problem = BarycenterProblem(tuple(smoothed), C, gamma)
         sol = ibp_solve(problem, eps_prime, max_sweeps=max_sweeps, trace=trace, checks=checks)
-        yield sol.plans, wb_dual_objective(sol.state, problem), sol.state.iteration, {}
+        phi = wb_dual_objective(sol.state, problem)
+        yield sol.plans, gamma * sol.state.v, phi, sol.state.iteration, {}
 
     return epsilon_pipeline(
         IBP_SCHEDULE, C, measures, None, eps, solve,
@@ -264,10 +265,11 @@ def accelerated_ibp(
 
     Runs ``sinkhorn.epsilon_pipeline`` with ``AIBP_SCHEDULE``: every
     iteration's averaged couplings give q_bar and are rounded onto
-    U(p_l, q_bar), and the solve stops once the averaged rounding cost gap
-    and the duality gap at eta both fall below eps / 4.  ``gamma``
-    overrides the schedule; ``checks`` collects the block-exactness rows
-    at every eta.
+    U(p_l, q_bar), and the solve stops at the first iteration whose
+    rounded plans cost on average at most eps above
+    ``sinkhorn.lp_lower_bound`` at gamma times the v blocks of eta.
+    ``gamma`` overrides the schedule; ``checks`` collects the
+    block-exactness rows at every eta.
     """
 
     def solve(C, gamma, eps_prime, smoothed, _):
@@ -280,7 +282,8 @@ def accelerated_ibp(
             if checks is not None:
                 eta = WbDualState(state.eta[:, :n], state.eta[:, n:], state.iteration)
                 checks.append(_ibp_check_row(eta, problem, kind=state.block))
-            yield state.plan_avg, state.phi_eta, state.iteration, {
+            G = gamma * state.eta[:, n:]
+            yield state.plan_avg, G, state.phi_eta, state.iteration, {
                 "line_search_evals": state.line_search_evals,
                 "exp_passes": state.exp_passes,
             }

@@ -6,7 +6,8 @@ sparse scaling algorithms for entropy regularized transport problems",
 SIAM J. Sci. Comput. 2019): alternating exact block minimization of the
 dual and its KL-projection reformulation; ``SinkhornState`` holds the
 potentials u and v.  Around it sit the dual radius R (``radius_bound``, a
-float), the suboptimality certificate (gamma R / 2) * violation, and the
+float), the suboptimality certificate (gamma R / 2) * violation, the
+c-transform lower bound on the LP optimum (``lp_lower_bound``), and the
 one epsilon-approximation pipeline (``epsilon_pipeline``) that Sinkhorn,
 the accelerated scheme and both barycenter solvers run through:
 short-circuit, schedule, smoothing, solve, rounding and certificate.
@@ -228,24 +229,26 @@ class EpsilonSchedule:
     """One solver's row of the epsilon-pipeline's schedule table.
 
     gamma = eps / (gamma_div ln n) and eps' = eps / (eps_prime_div ||C||_inf);
-    every measure is smoothed with weight eps' / smooth_div.  A solver with
-    its own stopping rule has ``stop_div`` None; the others stop once the
-    duality gap and the rounding cost gap are both <= eps / stop_div.
+    every measure is smoothed with weight eps' / smooth_div.  A solver that
+    ``stops_on_bound`` yields every iteration and is stopped at the first
+    whose rounded plans cost at most eps above ``lp_lower_bound``; the
+    others stop on their own rule and yield once.
     """
 
     solver: str
     gamma_div: float
     eps_prime_div: float
     smooth_div: float
-    stop_div: float | None = None
+    stops_on_bound: bool = False
 
 
 SINKHORN_SCHEDULE = EpsilonSchedule("Sinkhorn", 4.0, 8.0, 8.0)
-AAM_SCHEDULE = EpsilonSchedule("accelerated OT", 3.0, 8.0, 8.0, 6.0)
+AAM_SCHEDULE = EpsilonSchedule("accelerated OT", 3.0, 8.0, 8.0, True)
 IBP_SCHEDULE = EpsilonSchedule("IBP", 4.0, 4.0, 4.0)
-AIBP_SCHEDULE = EpsilonSchedule("accelerated IBP", 2.0, 8.0, 4.0, 4.0)
+AIBP_SCHEDULE = EpsilonSchedule("accelerated IBP", 2.0, 8.0, 4.0, True)
 
-#: Certificate terms every epsilon-pipeline report carries in its extras.
+#: Certificate terms every epsilon-pipeline report carries in its extras,
+#: besides ``lp_lower_bound``.
 GAP_KEYS = ("dual_value", "primal_value", "duality_gap", "rounding_cost_gap")
 
 #: Rows the pipeline records at every iteration of the solvers it stops.
@@ -256,10 +259,11 @@ GAP_TRACE_COLUMNS = (
     "duality_gap",
     "feasibility_l2",
     "rounding_cost_gap",
+    "lp_lower_bound",
 )
 
 
-def _gap_row(t, phi, primal, gap, couplings, P, q, cost_gap=None) -> dict:
+def _gap_row(t, phi, primal, gap, couplings, P, q, cost_gap=None, lower=None) -> dict:
     """One ``GAP_TRACE_COLUMNS`` row; feasibility_l2 is the l2 distance of
     the (m, n, n) couplings' marginals from the rows of P and from q."""
     feas = math.sqrt(
@@ -273,22 +277,52 @@ def _gap_row(t, phi, primal, gap, couplings, P, q, cost_gap=None) -> dict:
         "duality_gap": gap,
         "feasibility_l2": feas,
         "rounding_cost_gap": cost_gap,
+        "lp_lower_bound": lower,
     }
 
 
-def _round_with_gaps(couplings, P, q, C, gamma: float, phi: float):
-    """Round each coupling onto U(p_l, q), p_l the rows of P.
-
-    Returns the rounded plans, their mean cost, the mean regularized primal
-    value of the couplings, the duality gap (that value plus the dual value
-    ``phi``) and the mean rounding cost gap.
-    """
-    rounded = [round_to_polytope(plan, p, q) for plan, p in zip(couplings, P)]
+def _gaps(couplings, rounded, C, gamma: float, phi: float) -> tuple[float, float, float]:
+    """The mean regularized primal value of the couplings, the duality gap
+    (that value plus the dual value ``phi``) and the mean rounding cost gap
+    of their rounded plans."""
     costs = [transport_cost(plan, C) for plan in couplings]
-    rounded_costs = [transport_cost(r.entries, C) for r in rounded]
-    cost_gap = float(np.mean([r - c for r, c in zip(rounded_costs, costs)]))
+    cost_gap = float(np.mean([transport_cost(r.entries, C) - c for r, c in zip(rounded, costs)]))
     primal = float(np.mean([c + gamma * neg_entropy(plan) for c, plan in zip(costs, couplings)]))
-    return rounded, float(np.mean(rounded_costs)), primal, primal + phi, cost_gap
+    return primal, primal + phi, cost_gap
+
+
+def lp_lower_bound(C, G, P, q=None) -> float:
+    """Lower bound on the unregularized LP optimum from column potentials.
+
+    Row l of the (m, n) array G is any potential g_l, for example gamma
+    times a solver's v.  Shifted so that its largest entry is 0, its
+    c-transform is f_l(i) = min_j (C_ij - g_l(j)), and the c-transform of
+    f_l is g'_l(j) = min_i (C_ij - f_l(i)) >= g_l(j): two n^2 min passes
+    per measure.  Then f_l(i) + g'_l(j) <= C_ij, so (f_l, g'_l) is feasible
+    for the dual of the transport LP from p_l, the rows of P (Peyre and
+    Cuturi, "Computational Optimal Transport", 2019, section 5.1):
+
+    - transport (m = 1, target q): <f, p> + <g', q> <= OT(p, q);
+    - barycenter (q None): every feasible q is a probability vector, so
+      (1/m) sum_l <f_l, p_l> + min_j (1/m) sum_l g'_l(j) is at most the
+      optimum of (1/m) sum_l OT(p_l, q) over q.
+
+    Float margin: with g_l <= 0 every f_l lies in [0, ||C||_inf] and every
+    g'_l in [-||C||_inf, ||C||_inf], so rounding C - f_l breaks
+    feasibility by at most u ||C||_inf (u = 2^-53, the unit roundoff), and
+    the dot products, the mean over l and the sum over l round by at most
+    (n + m) u ||C||_inf each.  The value returned is the computed bound
+    minus 8 (n + m + 1) u ||C||_inf, which covers all of these, so it is
+    at most the exact LP optimum of measures of equal mass.
+    """
+    C = as_matrix(C)
+    G = G - G.max(axis=1)[:, None]
+    F = (C - G[:, None, :]).min(axis=2)
+    H = (C - F[:, :, None]).min(axis=1)
+    m, n = G.shape
+    value = float((F * P).sum(axis=1).mean())
+    value += float(H[0] @ q) if q is not None else float(H.mean(axis=0).min())
+    return value - 8.0 * (n + m + 1) * 2.0**-53 * float(C.max())
 
 
 def epsilon_pipeline(
@@ -306,17 +340,25 @@ def epsilon_pipeline(
 
     At eps >= 8 ||C||_inf the additive bound is vacuous (every plan costs
     at most ||C||_inf), which also covers C = 0: q is the target or the
-    mean measure and the plans are p_l q', without a solve.  Otherwise
-    the schedule gives gamma (unless ``gamma`` overrides it) and eps', the
-    measures and the target are smoothed, and
-    ``solve(C, gamma, eps_prime, smoothed, smoothed_target)`` yields
-    (couplings, phi, iteration, extras): m (n, n) couplings, the dual
-    value phi that certifies them, and solver diagnostics.  Each yield's
-    couplings are rounded onto U(p_l, q) with the caller's p_l.  A solver
-    with its own stopping rule yields once.  For the others every yield
-    is one iteration, recorded in ``trace``, and the first with both gaps
-    <= eps / stop_div is returned.  The certificate is
-    max(duality gap, 0) + max(rounding cost gap, 0).
+    mean measure and the plans are p_l q', without a solve; the LP lower
+    bound is 0 there.  Otherwise the schedule gives gamma (unless
+    ``gamma`` overrides it) and eps', the measures and the target are
+    smoothed, and ``solve(C, gamma, eps_prime, smoothed, smoothed_target)``
+    yields (couplings, G, phi, iteration, extras): m (n, n) couplings, the
+    (m, n) column potentials G = gamma v, the smooth dual value phi, and
+    solver diagnostics.  Each yield's couplings are rounded once onto
+    U(p_l, q) with the caller's p_l, and ``lp_lower_bound`` reads G
+    against the caller's measures.  A solver with its own stopping rule
+    yields once.  A solver that ``stops_on_bound`` yields every
+    iteration, and the first whose objective (the mean cost of the
+    rounded plans) is at most eps above the lower bound is returned; with
+    ``trace`` each iteration is a ``GAP_TRACE_COLUMNS`` row.
+
+    The certificate is objective - lower bound, which bounds the
+    objective's excess over the LP optimum; ``extras`` carries the bound
+    as ``lp_lower_bound``.  The ``GAP_KEYS`` terms, whose primal value
+    takes an entropy pass, are computed at the returned iteration only,
+    or at every iteration of a traced run.
 
     Returns:
         q (the target, or q_bar), the rounded plans, and the report.
@@ -326,7 +368,7 @@ def epsilon_pipeline(
             measure's size does not match it, or a transport measure has
             a negative entry or a mass not within 1e-9 of 1.
         ParameterError: if eps or gamma is not > 0.
-        ConvergenceError: if ``solve`` stops yielding before the stop test
+        ConvergenceError: if ``solve`` stops yielding before the bound
             passes.
     """
     if not (eps > 0):
@@ -363,7 +405,8 @@ def epsilon_pipeline(
         q = P.mean(axis=0) if target is None else target
         plans = [TransportPlan(np.outer(p, q), feasible_for=(p, q)) for p in P]
         objective = float(np.mean([transport_cost(plan.entries, C) for plan in plans]))
-        # C >= 0 puts the optimum at >= 0, so the objective bounds the excess.
+        # C >= 0 puts the optimum at >= 0: 0 is the LP lower bound, and the
+        # objective bounds the excess.
         return q, plans, SolveReport(
             objective=objective,
             iterations=0,
@@ -371,7 +414,7 @@ def epsilon_pipeline(
             params=record,
             trace=trace,
             trace_columns=trace_columns,
-            extras=dict.fromkeys(GAP_KEYS),
+            extras={**dict.fromkeys(GAP_KEYS), "lp_lower_bound": 0.0},
         )
 
     if gamma is None:
@@ -385,29 +428,34 @@ def epsilon_pipeline(
     smoothed = [smooth_measure(p, weight) for p in P]
     smoothed_target = None if target is None else smooth_measure(target, weight)
     smoothed_stack = np.stack([m.weights for m in smoothed])
-    stop = None if schedule.stop_div is None else eps / schedule.stop_div
     iteration = 0
-    for couplings, phi, iteration, extras in solve(C, gamma, eps_prime, smoothed, smoothed_target):
+    for couplings, G, phi, iteration, extras in solve(
+        C, gamma, eps_prime, smoothed, smoothed_target
+    ):
         if target is None:
             masses = np.array([plan.sum() for plan in couplings])
             q = np.sum([plan.sum(axis=0) for plan in couplings], axis=0) / masses.sum()
         else:
             q = target
-        rounded, objective, primal, gap, cost_gap = _round_with_gaps(
-            couplings, P, q, C, gamma, phi
-        )
-        if stop is not None:
-            if trace is not None:
-                q_s = q if target is None else smoothed_target.weights
-                trace.append(
-                    _gap_row(iteration, phi, primal, gap, couplings, smoothed_stack, q_s, cost_gap)
-                )
-            if not (cost_gap <= stop and gap <= stop):
-                continue
+        rounded = [round_to_polytope(plan, p, q) for plan, p in zip(couplings, P)]
+        objective = float(np.mean([transport_cost(r.entries, C) for r in rounded]))
+        lower = lp_lower_bound(C, G, P, target)
+        stop = not schedule.stops_on_bound or objective - lower <= eps
+        traced = schedule.stops_on_bound and trace is not None
+        if not (stop or traced):
+            continue
+        primal, gap, cost_gap = _gaps(couplings, rounded, C, gamma, phi)
+        if traced:
+            q_s = q if target is None else smoothed_target.weights
+            trace.append(_gap_row(
+                iteration, phi, primal, gap, couplings, smoothed_stack, q_s, cost_gap, lower
+            ))
+        if not stop:
+            continue
         return q, rounded, SolveReport(
             objective=objective,
             iterations=iteration,
-            certificate=max(gap, 0.0) + max(cost_gap, 0.0),
+            certificate=objective - lower,
             params=record,
             trace=trace,
             trace_columns=trace_columns,
@@ -416,6 +464,7 @@ def epsilon_pipeline(
                 "primal_value": primal,
                 "duality_gap": gap,
                 "rounding_cost_gap": cost_gap,
+                "lp_lower_bound": lower,
                 **extras,
             },
         )
@@ -445,7 +494,9 @@ def approx_ot_sinkhorn(
             state.u[None], state.v[None], None, gamma, ps[None], qs[None],
             log_mass=np.log(couplings.sum(axis=(1, 2))),
         )
-        yield couplings, phi, state.iteration, {"violation_at_exit": state.last_violation}
+        yield couplings, gamma * state.v[None], phi, state.iteration, {
+            "violation_at_exit": state.last_violation
+        }
 
     _, (plan,), report = epsilon_pipeline(
         SINKHORN_SCHEDULE, C, p, q, eps, solve, trace=trace, trace_columns=TRACE_COLUMNS

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from otkit.barycenter import (
     wb_dual_gradients,
     wb_dual_objective,
 )
-from otkit.core import NumericalError, reg_primal_objective, transport_cost
+from otkit.core import DomainError, NumericalError, reg_primal_objective, transport_cost
 from otkit.kernel import conjugate_pass, couplings, dual_value
 from otkit.oracle import exact_ot_lp
 from otkit.sinkhorn import approx_ot_sinkhorn
@@ -288,7 +289,7 @@ class TestEngine:
                 assert np.abs(x[:, 6:].sum(axis=0)).max() <= 1e-12
         assert blocks == {"u", "v"}
         checks: list[dict] = []
-        accelerated_ibp(measures, C, 0.1 * C.inf_norm, checks=checks)
+        accelerated_ibp(measures, C, 0.03 * C.inf_norm, checks=checks)
         v_rows = [c for c in checks if c["kind"] == "v"]
         assert v_rows and max(c["v_sum_err"] for c in v_rows) <= 1e-12
 
@@ -468,13 +469,31 @@ class TestDistanceBound:
 
 class TestAcceleratedPipeline:
     def test_zero_weight_fixed_point_is_named(self):
-        # From iteration 15 on every step has weight 0 and changes nothing.
+        # The engine on the pipeline's gamma and smoothed measures for
+        # C = [[0, 1], [1, 0]], p = (0, 1), q = (1/2, 1/2), eps = 0.05: from
+        # iteration 15 on every step has weight 0 and changes nothing.
+        # ``accelerated_ot`` stops on its LP bound before that (test_cli).
+        from otkit.core import smooth_measure
+        from otkit.sinkhorn import AAM_SCHEDULE
+
         C = np.array([[0.0, 1.0], [1.0, 0.0]])
-        p, q = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        p, q, eps = np.array([0.0, 1.0]), np.array([0.5, 0.5]), 0.05
+        gamma = eps / (AAM_SCHEDULE.gamma_div * math.log(2))
+        weight = eps / AAM_SCHEDULE.eps_prime_div / AAM_SCHEDULE.smooth_div
+        ps, qs = smooth_measure(p, weight).weights, smooth_measure(q, weight).weights
+        state = AamState.initial(C, gamma)
         start = time.perf_counter()
         with pytest.raises(NumericalError, match="weight a = 0 at iteration 15 leaves eta"):
-            accelerated_ot(C, p, q, eps=0.05)
+            for _ in range(100):
+                state = aam_iterate(state, C, gamma, ps, qs)
         assert time.perf_counter() - start < 1.0
+
+    def test_aam_solve_names_a_zero_marginal(self):
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="marginal must be strictly positive, found 0"):
+                aam_solve(C, 0.05, np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
     def test_two_by_two_within_window(self):
         C = np.array([[0.0, 1.0], [1.0, 0.0]])

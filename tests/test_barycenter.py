@@ -285,7 +285,7 @@ class TestBarycenterPipelines:
 
     def test_aibp_line_search_passes_per_iteration(self):
         C, measures = random_measures(65, 3, 8)
-        _, _, report = accelerated_ibp(measures, C, 0.1 * C.inf_norm)
+        _, _, report = accelerated_ibp(measures, C, 0.03 * C.inf_norm)
         assert report.iterations > 10
         assert 0 < report.extras["line_search_evals"] <= 8 * report.iterations
 

@@ -163,17 +163,37 @@ class TestCommands:
         ])
         assert code == 2
 
-    def test_aam_zero_weight_fixed_point_exit_3(self, instance_dir, capsys):
+    def test_aam_zero_weight_instance_is_certified(self, instance_dir):
+        # The instance whose zero weight stalled the accelerated scheme at a
+        # fixed point; the LP lower bound now stops it at the optimum 0.5.
         io.save_vector(instance_dir / "p0.csv", np.array([0.0, 1.0]))
         io.save_vector(instance_dir / "q0.csv", np.array([0.5, 0.5]))
+        out = instance_dir / "out"
         code = cli.main([
             "aam", "--cost", str(instance_dir / "C.csv"),
             "--source", str(instance_dir / "p0.csv"),
             "--target", str(instance_dir / "q0.csv"),
-            "--eps", "0.05", "--output-dir", str(instance_dir / "out"), "--quiet",
+            "--eps", "0.05", "--output-dir", str(out), "--quiet",
         ])
+        assert code == 0
+        rep = read_report(out)
+        assert 0.5 - 1e-12 <= rep["objective"] <= 0.5 + 0.05
+        assert rep["objective"] - 0.5 <= rep["certificate"] <= 0.05
+
+    def test_aam_gamma_zero_marginal_exit_3(self, instance_dir, capsys):
+        io.save_vector(instance_dir / "p0.csv", np.array([0.0, 1.0]))
+        io.save_vector(instance_dir / "q0.csv", np.array([0.5, 0.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no log(0) warning first
+            code = cli.main([
+                "aam", "--cost", str(instance_dir / "C.csv"),
+                "--source", str(instance_dir / "p0.csv"),
+                "--target", str(instance_dir / "q0.csv"),
+                "--eps", "0.05", "--gamma", "0.05",
+                "--output-dir", str(instance_dir / "out"), "--quiet",
+            ])
         assert code == 3
-        assert "weight a = 0 at iteration 15" in capsys.readouterr().err
+        assert "marginal must be strictly positive, found 0" in capsys.readouterr().err
 
     def test_round_command(self, instance_dir):
         io.save_matrix(instance_dir / "pi.csv", np.array([[0.5, 0.1], [0.1, 0.3]]))

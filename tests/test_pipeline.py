@@ -1,16 +1,22 @@
 """The shared epsilon-pipeline of the four approximate solvers: the vacuity
-short-circuit, the certificate and the recorded schedule."""
+short-circuit, the LP lower bound and the certificate, and the recorded
+schedule."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from otkit import sinkhorn
 from otkit.aam import accelerated_ot
 from otkit.barycenter import accelerated_ibp, barycenter_ibp
 from otkit.core import ConvergenceError, DiscreteMeasure, DomainError, ParameterError
 from otkit.oracle import exact_barycenter_lp, exact_ot_lp
-from otkit.sinkhorn import GAP_KEYS, GAP_TRACE_COLUMNS, approx_ot_sinkhorn
+from otkit.rounding import round_to_polytope
+from otkit.sinkhorn import GAP_KEYS, GAP_TRACE_COLUMNS, approx_ot_sinkhorn, lp_lower_bound
+from otkit.verify import approx_instances, barycenter_instance
 from conftest import random_instance, random_measures
 
 SOLVERS = ("sinkhorn", "aam", "ibp", "aibp")
@@ -76,18 +82,121 @@ def test_short_circuit_certificate_bounds_the_excess(solver):
     assert report.certificate >= report.objective - optimum
 
 
+def lp_optimum(solver, C, measures) -> float:
+    weights = [np.asarray(m, float) for m in measures]
+    if solver in ("sinkhorn", "aam"):
+        return exact_ot_lp(C, *weights).objective
+    return exact_barycenter_lp(weights, C)[1]
+
+
 @pytest.mark.parametrize("solver", SOLVERS)
 @pytest.mark.parametrize("seed", [41, 65])
 def test_certificate_is_sum_of_positive_gaps(solver, seed):
+    # certificate = objective - lower bound = (objective - OPT) + (OPT - lower
+    # bound): the rounded plans' excess over the LP optimum plus the bound's
+    # gap, both >= 0.
     C, measures = instance(solver, seed, 16 if solver in ("sinkhorn", "aam") else 8)
     eps = 0.1 * C.inf_norm
     _, _, report = run(solver, C, measures, eps)
     extras = report.extras
     assert set(GAP_KEYS) <= set(extras)
     assert extras["duality_gap"] == extras["primal_value"] + extras["dual_value"]
-    assert report.certificate == max(extras["duality_gap"], 0.0) + max(extras["rounding_cost_gap"], 0.0)
+    assert report.certificate == report.objective - extras["lp_lower_bound"]
+    optimum = lp_optimum(solver, C, measures)
+    assert report.objective - optimum >= -1e-12
+    assert report.certificate >= report.objective - optimum
     assert math.isfinite(report.certificate)
-    assert report.certificate < 0.5 * eps
+    assert report.certificate <= eps
+
+
+def criterion_instances(solver):
+    """(C, measures, eps) of criterion 2 and 4 (transport) or criterion 6
+    (barycenter)."""
+    if solver in ("sinkhorn", "aam"):
+        return [(C, [p, q], 0.1 * C.inf_norm) for _, (C, p, q) in approx_instances()]
+    return [(C, ms, 0.25 * C.inf_norm)
+            for C, ms in (barycenter_instance(600 + k, m=2, n=3) for k in range(5))]
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_certificate_bounds_the_excess_on_criterion_instances(solver):
+    for C, measures, eps in criterion_instances(solver):
+        _, _, report = run(solver, C, measures, eps)
+        optimum = lp_optimum(solver, C, measures)
+        assert report.extras["lp_lower_bound"] <= optimum
+        assert report.certificate >= report.objective - optimum
+
+
+def lp_column_potential(C, p, q) -> np.ndarray:
+    """The column half v of an optimal LP dual pair, from the oracle's
+    reduced costs C - u (+) v."""
+    D = np.asarray(C) - exact_ot_lp(C, p, q).reduced_costs.reshape(np.shape(C))
+    return D[0] - D[0, 0]
+
+
+@given(
+    st.integers(2, 8), st.integers(0, 2**31 - 1),
+    st.sampled_from([1e-6, 1.0, 1e6]), st.sampled_from([0.0, 1e-9, 1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_lower_bound_below_transport_lp(n, seed, cost_scale, noise):
+    # g: an optimal dual column potential, plus noise of any size.
+    C, p, q = random_instance(seed, n)
+    C = cost_scale * C.entries
+    rng = np.random.default_rng(seed)
+    g = lp_column_potential(C, p, q) + noise * cost_scale * rng.normal(size=n)
+    optimum = exact_ot_lp(C, p, q).objective
+    lower = lp_lower_bound(C, g[None], p[None], q)
+    assert lower <= optimum
+    if noise == 0.0:
+        assert lower >= optimum - 1e-12 * cost_scale
+
+
+@given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**31 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_lower_bound_below_barycenter_lp(m, n, seed, scale):
+    C, measures = random_measures(seed, m, n)
+    P = np.stack([w.weights for w in measures])
+    G = scale * np.random.default_rng(seed).normal(size=(m, n))
+    _, optimum = exact_barycenter_lp(P, C)
+    assert lp_lower_bound(C, G, P) <= optimum
+
+
+def test_lower_bound_below_transport_lp_n32():
+    C, p, q = random_instance(7, 32)
+    optimum = exact_ot_lp(C, p, q).objective
+    g = lp_column_potential(C, p, q)
+    rng = np.random.default_rng(7)
+    for noise in (0.0, 1e-6, 0.1, 10.0):
+        lower = lp_lower_bound(C, (g + noise * rng.normal(size=32))[None], p[None], q)
+        assert lower <= optimum
+    assert lp_lower_bound(C, g[None], p[None], q) >= optimum - 1e-12
+
+
+def test_lower_bound_is_shift_invariant():
+    C, p, q = random_instance(8, 12)
+    g = np.random.default_rng(8).normal(size=12)
+    lower = lp_lower_bound(C, g[None], p[None], q)
+    for c in (-1e3, -0.5, 0.5, 1e3):
+        assert lp_lower_bound(C, (g + c)[None], p[None], q) == pytest.approx(lower, abs=1e-11)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_rounds_each_coupling_once_per_yield(solver, monkeypatch):
+    calls = []
+
+    def counting(plan, p, q):
+        calls.append(1)
+        return round_to_polytope(plan, p, q)
+
+    monkeypatch.setattr(sinkhorn, "round_to_polytope", counting)
+    C, measures = instance(solver, 41, 8)
+    m = 1 if solver in ("sinkhorn", "aam") else len(measures)
+    _, _, report = run(solver, C, measures, 0.03 * C.inf_norm)
+    yields = report.iterations if solver in ("aam", "aibp") else 1
+    assert yields > 1 or solver in ("sinkhorn", "ibp")
+    assert len(calls) == m * yields
 
 
 def test_gamma_override_is_recorded():
@@ -130,7 +239,8 @@ def test_invalid_cost_raises_domain_error(solver, C, match):
 @pytest.mark.parametrize("solver", ["aam", "aibp"])
 def test_budget_exhausted_raises_with_trace(solver):
     C, measures = instance(solver, 41, 8)
-    eps = 0.1 * C.inf_norm
+    # AIBP passes its LP bound at iteration 1 at eps = 0.1 ||C||_inf.
+    eps = (0.1 if solver == "aam" else 0.03) * C.inf_norm
     trace: list[dict] = []
     with pytest.raises(ConvergenceError, match="within 2 iterations") as err:
         if solver == "aam":
