@@ -7,7 +7,10 @@ transport value at u_i.  The simulator holds the network as (m, n)
 arrays and runs a round as whole-array operations: row i of W @ Q mixes
 only node i's own estimate and its graph neighbors', since the
 off-diagonal support of the Laplacian W is the edge set.  It counts one
-message per edge per round.
+message per edge per round.  Every estimate of a round, full or
+stochastic, is one ``kernel.conjugate_mixture``: a softmax mixture in
+the scaling form, two (m, n) x (n, n) products, unless it needs the
+log domain.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .core import (
     as_weights,
     strictly_positive,
 )
-from .kernel import conjugate_gradients, conjugate_pass, conjugate_values, fenchel_dual_values
+from .kernel import conjugate_mixture, conjugate_values, fenchel_dual_values
 
 TRACE_COLUMNS = ("round", "consensus_error", "dual_value", "messages")
 
@@ -91,15 +94,18 @@ def condition_number(graph: CommunicationGraph) -> float:
 class NetworkState:
     """Every node after ``round_index`` rounds: row i of the (m, n) arrays
     P, U and Q is node i's measure, dual block and marginal estimate.
-    ``lse_rows`` holds the log-sum-exps of the conjugate pass that gave a
-    full-gradient Q, from which ``kernel.conjugate_values`` gives each
-    node's dual value at U; it is None after a stochastic round."""
+    ``smooth_max`` holds the smoothed maxima of the ``conjugate_mixture``
+    that gave a full-gradient Q, from which ``kernel.conjugate_values``
+    gives each node's dual value at U; it is None after a stochastic
+    round.  ``log_domain_rounds`` counts the estimates so far, the start
+    included, that ``conjugate_mixture`` took in the log domain."""
 
     P: np.ndarray
     U: np.ndarray
     Q: np.ndarray
     round_index: int = 0
-    lse_rows: np.ndarray | None = None
+    smooth_max: np.ndarray | None = None
+    log_domain_rounds: int = 0
 
     def __post_init__(self):
         if not (np.ndim(self.P) == 2 and np.shape(self.P) == np.shape(self.U) == np.shape(self.Q)):
@@ -139,7 +145,8 @@ def default_step_constant(graph: CommunicationGraph, gamma: float) -> float:
 def softmax_column(u, C, gamma: float, xi: int) -> np.ndarray:
     """Softmax over l of (u_l - C_{xi, l}) / gamma: one term of the
     conjugate gradient's p-mixture."""
-    return conjugate_pass(as_weights(u)[None], as_matrix(C)[xi], gamma)[0][0, 0]
+    row = as_matrix(C)[xi][None]
+    return conjugate_mixture(as_weights(u)[None], np.ones((1, 1)), row, gamma)[0][0]
 
 
 def sample_columns(P, batch: int, rng: np.random.Generator) -> np.ndarray:
@@ -149,12 +156,26 @@ def sample_columns(P, batch: int, rng: np.random.Generator) -> np.ndarray:
     Inverse-CDF sampling on one ``rng.random((m, batch))`` block.  It is
     the formula of ``Generator.choice(n, p=...)`` and takes the uniforms
     in the order of node-by-node, draw-by-draw ``choice`` calls, so a
-    seeded run draws the same indices as those calls would.
+    seeded run draws the same indices as those calls would.  A cdf row
+    never decreases, so the count of its entries <= x is
+    ``searchsorted(side="right")``, ties included.
     """
     cdf = np.cumsum(P / P.sum(axis=1, keepdims=True), axis=1)
     cdf /= cdf[:, -1:]
     uniform = rng.random((P.shape[0], batch))
-    return np.stack([np.searchsorted(c, x, side="right") for c, x in zip(cdf, uniform)])
+    return (cdf[:, None, :] <= uniform[:, :, None]).sum(axis=2)
+
+
+def _sampled_mixture(U, P, C, gamma, rng, batch) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``conjugate_mixture`` with weights N / batch, where N[i, j] counts
+    node i's draws of column j, over the cost rows drawn at least once."""
+    P = strictly_positive(P, "marginal")
+    m, n = P.shape
+    xi = sample_columns(P, batch, rng)
+    flat = (xi + n * np.arange(m)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=m * n).reshape(m, n)
+    drawn = counts.any(axis=0)
+    return conjugate_mixture(U, counts[:, drawn] / batch, as_matrix(C)[drawn], gamma)
 
 
 def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
@@ -162,13 +183,12 @@ def stochastic_dual_gradients(U, P, C, gamma: float, rng: np.random.Generator,
     """Batch-mean estimates of the conjugate gradients of all m nodes.
 
     Node i draws ``batch`` column indices xi with probability P[i, xi]
-    and averages the softmax columns (u_i - C[xi]) / gamma, all in one
-    (m, batch, n) pass; in expectation each row is the
-    ``fenchel_dual_gradients`` row.
+    and averages the softmax columns (u_i - C[xi]) / gamma: one
+    ``conjugate_mixture`` over the drawn cost rows, weighted by draw
+    counts; in expectation each row is the ``fenchel_dual_gradients``
+    row.
     """
-    P = strictly_positive(P, "marginal")
-    xi = sample_columns(P, batch, rng)
-    return conjugate_pass(U, as_matrix(C)[xi], gamma)[0].mean(axis=1)
+    return _sampled_mixture(U, P, C, gamma, rng, batch)[0]
 
 
 def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -179,15 +199,16 @@ def stochastic_dual_gradient(u, p, C, gamma: float, rng: np.random.Generator) ->
     return stochastic_dual_gradients(as_weights(u)[None], as_weights(p)[None], C, gamma, rng)[0]
 
 
-def _gradient_estimates(U, P, C, gamma, config, rng) -> tuple[np.ndarray, np.ndarray | None]:
-    """Q at U and, for full gradients, the log-sum-exps of the same
-    conjugate pass (None for stochastic estimates)."""
+def _gradient_estimates(U, P, C, gamma, config, rng) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """Q at U; for full gradients, the smoothed maxima of the same
+    ``conjugate_mixture`` (None for stochastic estimates); and whether it
+    took the log domain."""
     if config is None or not config.stochastic:
-        soft, lse_rows = conjugate_pass(U, as_matrix(C), gamma)
-        return conjugate_gradients(P, soft), lse_rows
+        return conjugate_mixture(U, P, as_matrix(C), gamma)
     if rng is None:
         raise ParameterError("a stochastic round needs a random generator (rng)")
-    return stochastic_dual_gradients(U, P, C, gamma, rng, config.batch), None
+    Q, _, log_domain = _sampled_mixture(U, P, C, gamma, rng, config.batch)
+    return Q, None, log_domain
 
 
 def initial_state(P, C, gamma: float, config: SimConfig | None = None,
@@ -197,8 +218,8 @@ def initial_state(P, C, gamma: float, config: SimConfig | None = None,
     ``rng``, which is then required)."""
     P = np.asarray(P, dtype=float)
     U = np.zeros_like(P)
-    Q, lse_rows = _gradient_estimates(U, P, C, gamma, config, rng)
-    return NetworkState(P=P, U=U, Q=Q, lse_rows=lse_rows)
+    Q, smooth_max, log_domain = _gradient_estimates(U, P, C, gamma, config, rng)
+    return NetworkState(P=P, U=U, Q=Q, smooth_max=smooth_max, log_domain_rounds=int(log_domain))
 
 
 def decentralized_dual_step(
@@ -228,14 +249,15 @@ def decentralized_dual_step(
     if mix is None:
         mix = np.matmul
     U = state.U - mix(graph.laplacian, state.Q) / step_L
-    Q, lse_rows = _gradient_estimates(U, state.P, C, gamma, config, rng)
+    Q, smooth_max, log_domain = _gradient_estimates(U, state.P, C, gamma, config, rng)
     if not np.isfinite(Q).all():
         raise DomainError(
             f"marginal estimates are not finite in round {state.round_index + 1}; "
             "the step 1/L is too large"
         )
     return NetworkState(P=state.P, U=U, Q=Q, round_index=state.round_index + 1,
-                        lse_rows=lse_rows)
+                        smooth_max=smooth_max,
+                        log_domain_rounds=state.log_domain_rounds + int(log_domain))
 
 
 def consensus_error(Q) -> float:
@@ -254,9 +276,11 @@ def simulate_decentralized_barycenter(
     (1/m) sum_i conjugate(u_i), and the cumulative message count
     (one message per edge per round), and counts in
     ``extras["gradient_evals"]`` the per-node gradient evaluations: m per
-    full round, m * batch per stochastic round, the start included.
-    Output is a pure function of (inputs, seed): draws are taken node by
-    node, in id order, within each round.
+    full round, m * batch per stochastic round, the start included, and
+    in ``extras["log_domain_rounds"]`` the estimates, the start included,
+    that ``kernel.conjugate_mixture`` took in the log domain.  Output is
+    a pure function of (inputs, seed): draws are taken node by node, in
+    id order, within each round.
     """
     ms = [DiscreteMeasure(m) for m in measures]
     if len(ms) != graph.m:
@@ -268,9 +292,9 @@ def simulate_decentralized_barycenter(
     state = initial_state(np.stack([mu.weights for mu in ms]), C.entries, gamma, config, rng)
 
     def dual_value() -> float:
-        if state.lse_rows is None:
+        if state.smooth_max is None:
             return float(np.mean(fenchel_dual_values(state.U, state.P, C.entries, gamma)))
-        return float(np.mean(conjugate_values(state.P, state.lse_rows, gamma)))
+        return float(np.mean(conjugate_values(state.P, state.smooth_max, gamma)))
 
     messages = 0
     for rnd in range(1, config.rounds + 1):
@@ -303,6 +327,7 @@ def simulate_decentralized_barycenter(
         seed=config.seed,
         trace=trace,
         trace_columns=TRACE_COLUMNS,
-        extras={"messages": messages, "gradient_evals": evals_per_round * (config.rounds + 1)},
+        extras={"messages": messages, "gradient_evals": evals_per_round * (config.rounds + 1),
+                "log_domain_rounds": state.log_domain_rounds},
     )
     return [DiscreteMeasure(q) for q in state.Q], report

@@ -5,7 +5,9 @@ B_l = exp(u_l + v_l' + L), with the log kernel L = -C / gamma: the
 conjugate of the entropy at u + v' - C (Blondel, Seguy and Rolet,
 AISTATS 2018).  Here are its couplings, marginals and log mass, the
 stacked dual value, the exact block step (``ScalingKernel``), the line
-search's slope and curvature, and the conjugate (semi-dual) pass.
+search's slope and curvature, and the conjugate (semi-dual) softmax
+mixtures, in the scaling form with a log-domain fallback
+(``conjugate_mixture``).
 """
 
 from __future__ import annotations
@@ -197,19 +199,14 @@ def slope_and_curvature(L, u, v, du, dv, scale, p, q, beta) -> tuple[float, floa
 
 def conjugate_pass(U, rows, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Softmax and log-sum-exp over the last axis of
-    Z = (U[:, None, :] - rows) / gamma, from one exp pass.
+    Z = (U[:, None, :] - rows) / gamma, from one exp pass: the log-domain
+    form of ``conjugate_mixture``.
 
     ``U`` is (m, n); ``rows`` is (j, n), shared by every k (the cost
     matrix: Z[k, j, i] = (u_ki - C_ji) / gamma), or (m, j, n) with rows of
-    its own for each k (sampled cost rows).  Returns the (m, j, n) softmax
-    and the (m, j) log-sum-exp.  An all -inf row of Z has log-sum-exp
-    -inf.
+    its own for each k.  Returns the (m, j, n) softmax and the (m, j)
+    log-sum-exp.  An all -inf row of Z has log-sum-exp -inf.
     """
-    if not (gamma > 0):
-        raise ParameterError("gamma must be positive")
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2:
-        raise DomainError("expected an (m, n) stack of duals")
     Z = U[:, None, :] - rows
     Z /= gamma
     top = Z.max(axis=-1, keepdims=True)
@@ -222,18 +219,57 @@ def conjugate_pass(U, rows, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         return Z, (np.log(total) + top)[..., 0]
 
 
-def conjugate_values(P, lse_rows, gamma: float) -> np.ndarray:
-    """The per-row dual values gamma <p, lse_rows> - gamma <p, ln p> of two
-    (m, n) stacks, from the log-sum-exps of a ``conjugate_pass`` over the
-    cost matrix."""
+def conjugate_mixture(U, W, rows, gamma: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Row k: the W[k]-mixture sum_j W_kj softmax_i((u_ki - C_ji) / gamma)
+    over the cost rows C_j of ``rows``, with the smoothed maxima
+    gamma ln sum_i exp((u_ki - C_ji) / gamma) of the same terms, and
+    whether the log domain was needed.
+
+    ``U`` is (m, n), ``W`` (m, j) and ``rows`` (j, n); returns the (m, n)
+    mixtures, the (m, j) smoothed maxima and a bool.  In the scaling form
+    (Benamou, Carlier, Cuturi, Nenna and Peyre, SIAM J. Sci. Comput.
+    2015), with K = exp((c - rows) / gamma), c = min(0, min rows),
+    t_k = max_i u_ki and b = exp((U - t) / gamma), S = b K' holds the
+    softmax normalizers: the mixtures are b * ((W / S) K) and the
+    smoothed maxima gamma ln S + t - c, from two (m, n) x (n, j) products,
+    a (j, n) and an (m, n) exp.  Neither forms U / gamma, so neither
+    overflows where only U / gamma would.  K <= 1 and b <= 1, so a term
+    of S that underflows is below 2.3e-308: the scaling form loses nothing
+    while S >= 1 / SCALING_BOUND.  Where S has an entry below that, or a
+    NaN, both come instead from ``conjugate_pass``, the log-domain pass:
+    over the shared rows if W has no zero, and otherwise over each row
+    k's terms of nonzero weight, padded with zero weights to the longest
+    row, so that sparse draw counts cost no more than their draws.  The
+    smoothed maxima that pass skips are NaN.
+    """
+    if not (gamma > 0):
+        raise ParameterError("gamma must be positive")
+    U, W = np.asarray(U, dtype=float), np.asarray(W, dtype=float)
+    if U.ndim != 2:
+        raise DomainError("expected an (m, n) stack of duals")
+    with np.errstate(all="ignore"):
+        c = min(float(rows.min()), 0.0)
+        K = np.exp((c - rows) / gamma)
+        t = U.max(axis=1, keepdims=True)
+        b = np.exp((U - t) / gamma)
+        S = b @ K.T
+        if S.min() >= 1.0 / SCALING_BOUND:  # False on a NaN
+            return b * ((W / S) @ K), gamma * np.log(S) + (t - c), False
+    weighted = W != 0
+    width = int(weighted.sum(axis=1).max())
+    idx = np.argsort(~weighted, axis=1, kind="stable")[:, :width]  # weighted terms first
+    soft, lse_rows = conjugate_pass(U, rows if weighted.all() else rows[idx], gamma)
+    smooth_max = np.full(W.shape, np.nan)
+    np.put_along_axis(smooth_max, idx, gamma * lse_rows, axis=1)
+    return (np.take_along_axis(W, idx, axis=1)[:, None, :] @ soft)[:, 0, :], smooth_max, True
+
+
+def conjugate_values(P, smooth_max, gamma: float) -> np.ndarray:
+    """The per-row dual values <p, smooth_max> - gamma <p, ln p> of two
+    (m, n) stacks, from the smoothed maxima of a ``conjugate_mixture``
+    over the cost matrix."""
     P = strictly_positive(P, "marginal")
-    return gamma * np.einsum("kj,kj->k", P, lse_rows) - gamma * np.einsum("kj,kj->k", P, np.log(P))
-
-
-def conjugate_gradients(P, soft) -> np.ndarray:
-    """Row k: the P[k]-mixture of the softmax columns soft[k] of a
-    ``conjugate_pass`` over the cost matrix."""
-    return (np.asarray(P, dtype=float)[:, None, :] @ soft)[:, 0, :]
+    return np.einsum("kj,kj->k", P, smooth_max) - gamma * np.einsum("kj,kj->k", P, np.log(P))
 
 
 def fenchel_dual_values(U, P, C, gamma: float) -> np.ndarray:
@@ -242,7 +278,7 @@ def fenchel_dual_values(U, P, C, gamma: float) -> np.ndarray:
     - gamma <p, ln p>."""
     if np.shape(U) != np.shape(P):
         raise DomainError("expected matching (m, n) stacks of duals and measures")
-    return conjugate_values(P, conjugate_pass(U, as_matrix(C), gamma)[1], gamma)
+    return conjugate_values(P, conjugate_mixture(U, P, as_matrix(C), gamma)[1], gamma)
 
 
 def fenchel_dual_gradients(U, P, C, gamma: float) -> np.ndarray:
@@ -251,4 +287,4 @@ def fenchel_dual_gradients(U, P, C, gamma: float) -> np.ndarray:
     columns."""
     if np.shape(U) != np.shape(P):
         raise DomainError("expected matching (m, n) stacks of duals and measures")
-    return conjugate_gradients(P, conjugate_pass(U, as_matrix(C), gamma)[0])
+    return conjugate_mixture(U, P, as_matrix(C), gamma)[0]

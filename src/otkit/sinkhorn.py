@@ -317,8 +317,10 @@ def lp_lower_bound(C, G, P, q=None) -> float:
     """
     C = as_matrix(C)
     G = G - G.max(axis=1)[:, None]
-    F = (C - G[:, None, :]).min(axis=2)
-    H = (C - F[:, :, None]).min(axis=1)
+    F, H = np.empty_like(G), np.empty_like(G)
+    for l, g in enumerate(G):  # (n, n) temporaries, one measure at a time
+        F[l] = (C - g).min(axis=1)
+        H[l] = (C - F[l][:, None]).min(axis=0)
     m, n = G.shape
     value = float((F * P).sum(axis=1).mean())
     value += float(H[0] @ q) if q is not None else float(H.mean(axis=0).min())

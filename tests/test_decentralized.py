@@ -25,6 +25,7 @@ from otkit.decentralized import (
     softmax_column,
     stochastic_dual_gradient,
 )
+from otkit.kernel import conjugate_mixture, conjugate_pass
 from conftest import random_measures
 
 K4_EDGES = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -215,13 +216,9 @@ class TestMatchesPerNodeReference:
 
     ROUNDS = 50
 
-    @pytest.mark.parametrize("m, edges, n", [(4, K4_EDGES, 8), (4, P4_EDGES, 8),
-                                             (16, RING16_EDGES, 10)])
-    @pytest.mark.parametrize("stochastic, batch", [(False, 1), (True, 1), (True, 16)])
-    def test_first_rounds(self, m, edges, n, stochastic, batch):
-        C, measures = random_measures(94, m, n)
-        gamma = 0.1 * C.inf_norm
-        graph = graph_laplacian(m, edges)
+    def run_against_reference(self, C, measures, gamma, graph, stochastic, batch, tol=1e-15):
+        """The final state of ROUNDS array rounds, each checked against the
+        per-node reference: U to 1e-15, Q to ``tol``."""
         step_L = default_step_constant(graph, gamma)
         config = SimConfig(gamma=gamma, rounds=self.ROUNDS, stochastic=stochastic,
                            seed=3, batch=batch)
@@ -231,17 +228,45 @@ class TestMatchesPerNodeReference:
         P = state.P
         U = np.zeros_like(P)
         Q = np.array([reference_estimate(U[i], P[i], C, gamma, config, ref_rng)
-                      for i in range(m)])
-        assert np.abs(state.Q - Q).max() <= 1e-15
+                      for i in range(graph.m)])
+        assert np.abs(state.Q - Q).max() <= tol
         accesses = set()
         for _ in range(self.ROUNDS):
             state = decentralized_dual_step(state, graph, C, gamma, step_L,
                                             config=config, rng=rng)
             U, Q = reference_round(P, U, Q, graph, C, gamma, step_L, config, ref_rng, accesses)
             assert np.abs(state.U - U).max() <= 1e-15
-            assert np.abs(state.Q - Q).max() <= 1e-15
+            assert np.abs(state.Q - Q).max() <= tol
         assert accesses == allowed
         assert state.round_index == self.ROUNDS
+        return state
+
+    @pytest.mark.parametrize("m, edges, n", [(4, K4_EDGES, 8), (4, P4_EDGES, 8),
+                                             (16, RING16_EDGES, 10)])
+    @pytest.mark.parametrize("stochastic, batch", [(False, 1), (True, 1), (True, 16)])
+    def test_first_rounds(self, m, edges, n, stochastic, batch):
+        C, measures = random_measures(94, m, n)
+        state = self.run_against_reference(C, measures, 0.1 * C.inf_norm,
+                                           graph_laplacian(m, edges), stochastic, batch)
+        if m == 16:
+            assert state.log_domain_rounds == 0  # the ring runs in the scaling form
+
+    @pytest.mark.parametrize("stochastic, batch", [(False, 1), (True, 4)])
+    def test_log_domain_every_round(self, stochastic, batch):
+        # Every entry of exp(-C / gamma) is below e^-100, so every softmax
+        # normalizer S is below 1 / SCALING_BOUND and each estimate,
+        # the start included, takes the log-domain pass.  Its exponents
+        # (u - C) / gamma reach -200, where an exponent rounds by up to
+        # 2.8e-14: the full gradient of the log-domain pass reads up to
+        # 2.2e-15 from the scipy reference here.  Stochastic estimates
+        # mix the same softmax columns on both sides.
+        rng = np.random.default_rng(95)
+        C = rng.uniform(1.0, 2.0, (8, 8))
+        measures = [DiscreteMeasure(rng.uniform(0.5, 1.5, 8)) for _ in range(4)]
+        tol = 1e-15 if stochastic else 1e-14
+        state = self.run_against_reference(C, measures, 0.01, graph_laplacian(4, P4_EDGES),
+                                           stochastic, batch, tol)
+        assert state.log_domain_rounds == self.ROUNDS + 1
 
 
 class TestStochasticGradient:
@@ -299,7 +324,20 @@ class TestStochasticGradient:
                                                    (2, 3, 2, 7), (3, 5, 1, 3)])
     def test_batched_draws_match_choice(self, seed, m, n, batch):
         P = np.random.default_rng(100 + seed).uniform(0.05, 1.5, (m, n))
-        P /= P.sum(axis=1, keepdims=True)
+        self.assert_draws_match_choice(P / P.sum(axis=1, keepdims=True), seed, batch)
+
+    def test_batched_draws_match_choice_at_ties(self):
+        # Weights from 1e-18 to 1: past the large ones the small ones no
+        # longer change the cumulative sum, so the cdf has equal neighbours.
+        rng = np.random.default_rng(104)
+        P = np.stack([rng.permutation(np.logspace(-18, 0, 40)) for _ in range(6)])
+        cdf = np.cumsum(P / P.sum(axis=1, keepdims=True), axis=1)
+        assert (np.diff(cdf, axis=1) == 0).any()
+        self.assert_draws_match_choice(P, 4, 64)
+
+    @staticmethod
+    def assert_draws_match_choice(P, seed, batch):
+        m, n = P.shape
         rng, batched = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):  # the streams stay in step across calls
             expected = [[rng.choice(n, p=P[i] / P[i].sum()) for _ in range(batch)]
@@ -332,6 +370,66 @@ class TestArrayReductions:
         values = fenchel_dual_values(U, P, C, gamma)
         assert np.abs(values - per_node).max() <= 1e-15
         assert abs(float(np.mean(values)) - float(np.mean(per_node))) <= 1e-15
+
+
+class TestConjugateMixture:
+    @pytest.mark.parametrize("seed, scale", [(0, 0.1), (1, 0.03), (2, 0.3)])
+    def test_scaling_form_matches_log_domain_pass(self, seed, scale):
+        C, measures = random_measures(210 + seed, 5, 12)
+        gamma = scale * C.inf_norm
+        U = np.random.default_rng(seed).normal(0.0, 0.1 * C.inf_norm, (5, 12))
+        P = np.stack([mu.weights for mu in measures])
+        Q, smooth_max, log_domain = conjugate_mixture(U, P, C.entries, gamma)
+        soft, lse_rows = conjugate_pass(U, C.entries, gamma)
+        assert not log_domain
+        assert np.abs(Q - np.einsum("kj,kji->ki", P, soft)).max() <= 1e-15
+        assert np.abs(smooth_max - gamma * lse_rows).max() <= 1e-15 * np.abs(smooth_max).max()
+
+    def test_negative_costs_shift_the_kernel(self):
+        # exp(8 / 0.01) overflows; shifted by the least cost, K stays <= 1
+        # and the scaling form still matches the log-domain pass.
+        C, measures = random_measures(220, 3, 6)
+        C = C.entries - 8.0
+        U = np.random.default_rng(0).normal(0.0, 0.01, (3, 6))
+        P = np.stack([mu.weights for mu in measures])
+        Q, smooth_max, log_domain = conjugate_mixture(U, P, C, 0.01)
+        soft, lse_rows = conjugate_pass(U, C, 0.01)
+        assert not log_domain
+        assert np.abs(Q - np.einsum("kj,kji->ki", P, soft)).max() <= 1e-15
+        assert np.abs(smooth_max - 0.01 * lse_rows).max() <= 1e-15 * np.abs(smooth_max).max()
+
+    def test_underflowed_normalizers_take_the_log_domain(self):
+        C = np.random.default_rng(1).uniform(1.0, 2.0, (6, 6))
+        P = np.random.default_rng(2).dirichlet(np.ones(6), size=2)
+        U = np.zeros((2, 6))
+        Q, smooth_max, log_domain = conjugate_mixture(U, P, C, 0.01)
+        soft, lse_rows = conjugate_pass(U, C, 0.01)
+        assert log_domain
+        assert np.array_equal(Q, np.matmul(P[:, None, :], soft)[:, 0, :])
+        assert np.array_equal(smooth_max, 0.01 * lse_rows)
+
+    def test_sparse_weights_take_only_their_terms_in_the_log_domain(self, monkeypatch):
+        # Draw counts weigh at most 3 of the 6 cost rows per node, so the
+        # log-domain pass runs over (2, 3, 6) rows, not (2, 6, 6).
+        import otkit.kernel
+
+        C = np.random.default_rng(1).uniform(1.0, 2.0, (6, 6))
+        W = np.array([[0.5, 0.0, 0.25, 0.0, 0.0, 0.25], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]])
+        U = np.zeros((2, 6))
+        shapes = []
+        counted = otkit.kernel.conjugate_pass
+
+        def recording(U, rows, gamma):
+            shapes.append(np.shape(rows))
+            return counted(U, rows, gamma)
+
+        monkeypatch.setattr(otkit.kernel, "conjugate_pass", recording)
+        Q, smooth_max, log_domain = conjugate_mixture(U, W, C, 0.01)
+        soft, lse_rows = counted(U, C, 0.01)
+        assert log_domain
+        assert shapes == [(2, 3, 6)]
+        assert np.abs(Q - np.einsum("kj,kji->ki", W, soft)).max() <= 1e-15
+        assert np.array_equal(smooth_max[W != 0], 0.01 * lse_rows[W != 0])
 
 
 class TestSimulation:
@@ -368,7 +466,7 @@ class TestSimulation:
         _, report = simulate_decentralized_barycenter(measures, C, graph, sampled)
         assert report.extras["gradient_evals"] == 4 * 5 * (7 + 1)
 
-    @pytest.mark.parametrize("stochastic, failing_round", [(False, 2), (True, 1)])
+    @pytest.mark.parametrize("stochastic, failing_round", [(False, 2), (True, 3)])
     def test_divergence_raises_in_its_round(self, stochastic, failing_round):
         C, measures = random_measures(89, 4, 4)
         graph = graph_laplacian(4, P4_EDGES)
@@ -388,13 +486,13 @@ class TestSimulation:
         graph = graph_laplacian(16, RING16_EDGES)
         rounds = 9
         passes = []
-        counted = otkit.decentralized.conjugate_pass
+        counted = otkit.decentralized.conjugate_mixture
 
         def counting(*args):
             passes.append(1)
             return counted(*args)
 
-        monkeypatch.setattr(otkit.decentralized, "conjugate_pass", counting)
+        monkeypatch.setattr(otkit.decentralized, "conjugate_mixture", counting)
         trace: list[dict] = []
         simulate_decentralized_barycenter(measures, C, graph, SimConfig(gamma=gamma, rounds=rounds),
                                           trace=trace)
