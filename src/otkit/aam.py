@@ -373,7 +373,7 @@ def aam_solve(
             return state, report
     raise ConvergenceError(
         f"AAM did not certify the optimum to width {gap_tol:g} in {max_iter} iterations",
-        trace=trace if trace is not None else [],
+        trace,
     )
 
 
@@ -388,6 +388,10 @@ def accelerated_ot(
     ``sinkhorn.lp_lower_bound`` at gamma times the v block of eta.  The
     plan returned is thus anywhere within eps of the LP optimum, and the
     report's certificate is its proven distance from the bound.
+
+    Raises:
+        ConvergenceError: if no iteration within ``max_iter`` passes the
+            bound; carries ``trace``.
     """
 
     def solve(C, gamma, eps_prime, smoothed, smoothed_target):
@@ -401,6 +405,7 @@ def accelerated_ot(
                 "line_search_evals": state.line_search_evals,
                 "exp_passes": state.exp_passes,
             }
+        raise ConvergenceError(f"accelerated OT did not stop within {max_iter} iterations", trace)
 
     _, (plan,), report = epsilon_pipeline(AAM_SCHEDULE, C, p, q, eps, solve, trace=trace)
     return plan, report

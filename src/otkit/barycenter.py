@@ -44,8 +44,6 @@ from .sinkhorn import (
     radius_bound,
 )
 
-IBP_TRACE_COLUMNS = ("sweep", "iteration", "dual_value", "marginal_spread")
-
 
 @dataclass(frozen=True)
 class BarycenterProblem:
@@ -134,6 +132,39 @@ class IbpSolution:
     q_bar: np.ndarray
 
 
+def _ibp_sweeps(problem: BarycenterProblem, eps_prime: float, max_sweeps, checks, trace):
+    """The IBP sweep loop, a v and then a u half-step per sweep, yielding
+    (state, q_l, phi, spread) after every sweep: the column marginals,
+    ``wb_dual_objective`` without its exp pass (each q_l sums to 1' B_l 1),
+    and the marginal spread.  Ends after the first sweep whose spread is
+    <= eps_prime, or raises ``ConvergenceError`` carrying ``trace`` once
+    ``max_sweeps`` sweeps have passed.
+    """
+    if not (eps_prime > 0):
+        raise ParameterError("eps_prime must be positive")
+    p = strictly_positive(problem.measure_stack(), "marginal")
+    if max_sweeps is None:
+        R = radius_bound(problem.cost, problem.gamma, p.ravel(), p.ravel())
+        max_sweeps = default_max_iter(R, eps_prime)
+
+    state = WbDualState.initial(problem.m, problem.n)
+    for _ in range(max_sweeps):
+        for kind in "vu":
+            state = ibp_step(state, problem)
+            if checks is not None:
+                checks.append(_ibp_check_row(state, problem, kind))
+        q_l = state.kernel.marginals(rows=False)
+        spread = float(np.abs(q_l - q_l.mean(axis=0)).sum(axis=1).mean())
+        log_mass = np.log(q_l.sum(axis=1))
+        phi = dual_value(state.u, state.v, None, problem.gamma / problem.m, p, log_mass=log_mass)
+        yield state, q_l, phi, spread
+        if spread <= eps_prime:
+            return
+    raise ConvergenceError(
+        f"IBP did not reach marginal spread {eps_prime:g} in {max_sweeps} sweeps", trace
+    )
+
+
 def ibp_solve(
     problem: BarycenterProblem,
     eps_prime: float,
@@ -145,54 +176,24 @@ def ibp_solve(
 
     The adaptive stopping rule needs no objective values: stop once
     (1/m) sum_l || B'(u_l, v_l) 1 - q_bar ||_1 <= eps_prime, where q_bar
-    is the mean of the column marginals.
+    is the mean of the column marginals.  ``barycenter_ibp`` runs the same
+    sweep loop.
 
-    ``trace`` (if given) collects one row per sweep with the dual value
-    (``wb_dual_objective``, the stacked smooth dual at scale gamma / m)
-    and the marginal spread; ``checks`` collects per-half-step exactness
+    ``trace`` (if given) collects one (sweep, iteration, dual_value,
+    marginal_spread) row per sweep, the dual value being
+    ``wb_dual_objective``; ``checks`` collects per-half-step exactness
     diagnostics (row-marginal match after u-updates, sum_l v_l and
     geometric-mean coincidence after v-updates).
     """
-    if not (eps_prime > 0):
-        raise ParameterError("eps_prime must be positive")
-    p = strictly_positive(problem.measure_stack(), "marginal")
-    if max_sweeps is None:
-        R = radius_bound(problem.cost, problem.gamma, p.ravel(), p.ravel())
-        max_sweeps = default_max_iter(R, eps_prime)
-
-    state = WbDualState.initial(problem.m, problem.n)
-    for sweep in range(1, max_sweeps + 1):
-        state = ibp_step(state, problem)  # v half-step
-        if checks is not None:
-            checks.append(_ibp_check_row(state, problem, kind="v"))
-        state = ibp_step(state, problem)  # u half-step
-        if checks is not None:
-            checks.append(_ibp_check_row(state, problem, kind="u"))
-
-        q_l = state.kernel.marginals(rows=False)
-        q_bar = q_l.mean(axis=0)
-        spread = float(np.abs(q_l - q_bar).sum(axis=1).mean())
+    for state, q_l, phi, spread in _ibp_sweeps(problem, eps_prime, max_sweeps, checks, trace):
         if trace is not None:
-            # wb_dual_objective without its exp pass: each q_l sums to 1' B_l 1.
-            phi = dual_value(
-                state.u, state.v, None, problem.gamma / problem.m, p,
-                log_mass=np.log(q_l.sum(axis=1)),
-            )
-            trace.append(
-                {
-                    "sweep": sweep,
-                    "iteration": state.iteration,
-                    "dual_value": phi,
-                    "marginal_spread": spread,
-                }
-            )
-        if spread <= eps_prime:
-            return IbpSolution(state, list(state.kernel.plans()), q_bar)
-
-    raise ConvergenceError(
-        f"IBP did not reach marginal spread {eps_prime:g} in {max_sweeps} sweeps",
-        trace=trace if trace is not None else [],
-    )
+            trace.append({
+                "sweep": state.iteration // 2,
+                "iteration": state.iteration,
+                "dual_value": phi,
+                "marginal_spread": spread,
+            })
+    return IbpSolution(state, list(state.kernel.plans()), q_l.mean(axis=0))
 
 
 def _ibp_check_row(state: WbDualState, problem: BarycenterProblem, kind: str) -> dict:
@@ -213,23 +214,22 @@ def barycenter_ibp(
 ) -> tuple[np.ndarray, list[TransportPlan], SolveReport]:
     """Approximate the non-regularized barycenter through IBP.
 
-    Runs ``sinkhorn.epsilon_pipeline`` with ``IBP_SCHEDULE``: IBP stops at
-    marginal spread eps' on the smoothed measures, and phi is the stacked
-    dual at its final potentials.  ``gamma`` overrides the schedule for
-    regularized-mode runs; ``trace`` and ``checks`` collect ``ibp_solve``'s
-    rows.
+    Runs ``sinkhorn.epsilon_pipeline`` with ``IBP_SCHEDULE``: every sweep
+    of ``ibp_solve``'s loop on the smoothed measures is a candidate, so the
+    solve stops at the first sweep whose rounded plans cost on average at
+    most eps above ``sinkhorn.lp_lower_bound``, or else at the sweep whose
+    marginal spread is eps', the worst-case rule.  phi is the stacked dual
+    at the sweep's potentials.  ``gamma`` overrides the schedule for
+    regularized-mode runs; ``trace`` collects the pipeline's rows and
+    ``checks`` the sweeps' exactness rows.
     """
 
-    def solve(C, gamma, eps_prime, smoothed, _):
+    def solve(C, gamma, eps_prime, smoothed, smoothed_target):
         problem = BarycenterProblem(tuple(smoothed), C, gamma)
-        sol = ibp_solve(problem, eps_prime, max_sweeps=max_sweeps, trace=trace, checks=checks)
-        phi = wb_dual_objective(sol.state, problem)
-        yield sol.plans, gamma * sol.state.v, phi, sol.state.iteration, {}
+        for state, _, phi, _ in _ibp_sweeps(problem, eps_prime, max_sweeps, checks, trace):
+            yield state.kernel.plans(), gamma * state.v, phi, state.iteration, {}
 
-    return epsilon_pipeline(
-        IBP_SCHEDULE, C, measures, None, eps, solve,
-        gamma=gamma, trace=trace, trace_columns=IBP_TRACE_COLUMNS,
-    )
+    return epsilon_pipeline(IBP_SCHEDULE, C, measures, None, eps, solve, gamma=gamma, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +270,10 @@ def accelerated_ibp(
     ``sinkhorn.lp_lower_bound`` at gamma times the v blocks of eta.
     ``gamma`` overrides the schedule; ``checks`` collects the
     block-exactness rows at every eta.
+
+    Raises:
+        ConvergenceError: if no iteration within ``max_iter`` passes the
+            bound; carries ``trace``.
     """
 
     def solve(C, gamma, eps_prime, smoothed, _):
@@ -287,6 +291,7 @@ def accelerated_ibp(
                 "line_search_evals": state.line_search_evals,
                 "exp_passes": state.exp_passes,
             }
+        raise ConvergenceError(f"accelerated IBP did not stop within {max_iter} iterations", trace)
 
     return epsilon_pipeline(AIBP_SCHEDULE, C, measures, None, eps, solve, gamma=gamma, trace=trace)
 

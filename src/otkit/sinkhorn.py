@@ -10,7 +10,9 @@ float), the suboptimality certificate (gamma R / 2) * violation, the
 c-transform lower bound on the LP optimum (``lp_lower_bound``), and the
 one epsilon-approximation pipeline (``epsilon_pipeline``) that Sinkhorn,
 the accelerated scheme and both barycenter solvers run through:
-short-circuit, schedule, smoothing, solve, rounding and certificate.
+short-circuit, schedule, smoothing, solve, rounding and certificate.  It
+has one stopping rule: every candidate a solver yields is rounded and
+bounded, and the first whose proven excess is at most eps is returned.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def sinkhorn_solve(
 
     raise ConvergenceError(
         f"sinkhorn did not reach violation {eps_prime:g} in {max_iter} half-steps",
-        trace=trace if trace is not None else [],
+        trace,
     )
 
 
@@ -229,29 +231,24 @@ class EpsilonSchedule:
     """One solver's row of the epsilon-pipeline's schedule table.
 
     gamma = eps / (gamma_div ln n) and eps' = eps / (eps_prime_div ||C||_inf);
-    every measure is smoothed with weight eps' / smooth_div.  A solver that
-    ``stops_on_bound`` yields every iteration and is stopped at the first
-    whose rounded plans cost at most eps above ``lp_lower_bound``; the
-    others stop on their own rule and yield once.
+    every measure is smoothed with weight eps' / smooth_div.
     """
 
-    solver: str
     gamma_div: float
     eps_prime_div: float
     smooth_div: float
-    stops_on_bound: bool = False
 
 
-SINKHORN_SCHEDULE = EpsilonSchedule("Sinkhorn", 4.0, 8.0, 8.0)
-AAM_SCHEDULE = EpsilonSchedule("accelerated OT", 3.0, 8.0, 8.0, True)
-IBP_SCHEDULE = EpsilonSchedule("IBP", 4.0, 4.0, 4.0)
-AIBP_SCHEDULE = EpsilonSchedule("accelerated IBP", 2.0, 8.0, 4.0, True)
+SINKHORN_SCHEDULE = EpsilonSchedule(4.0, 8.0, 8.0)
+AAM_SCHEDULE = EpsilonSchedule(3.0, 8.0, 8.0)
+IBP_SCHEDULE = EpsilonSchedule(4.0, 4.0, 4.0)
+AIBP_SCHEDULE = EpsilonSchedule(2.0, 8.0, 4.0)
 
 #: Certificate terms every epsilon-pipeline report carries in its extras,
 #: besides ``lp_lower_bound``.
 GAP_KEYS = ("dual_value", "primal_value", "duality_gap", "rounding_cost_gap")
 
-#: Rows the pipeline records at every iteration of the solvers it stops.
+#: The row the pipeline traces at every yield of every solver.
 GAP_TRACE_COLUMNS = (
     "iteration",
     "dual_value",
@@ -330,7 +327,6 @@ def lp_lower_bound(C, G, P, q=None) -> float:
 def epsilon_pipeline(
     schedule: EpsilonSchedule, C, measures, target, eps: float, solve,
     gamma: float | None = None, trace: list | None = None,
-    trace_columns: tuple[str, ...] = GAP_TRACE_COLUMNS,
 ) -> tuple[np.ndarray, list[TransportPlan], SolveReport]:
     """Epsilon-additive approximation of transport or of the barycenter.
 
@@ -346,21 +342,22 @@ def epsilon_pipeline(
     bound is 0 there.  Otherwise the schedule gives gamma (unless
     ``gamma`` overrides it) and eps', the measures and the target are
     smoothed, and ``solve(C, gamma, eps_prime, smoothed, smoothed_target)``
-    yields (couplings, G, phi, iteration, extras): m (n, n) couplings, the
-    (m, n) column potentials G = gamma v, the smooth dual value phi, and
-    solver diagnostics.  Each yield's couplings are rounded once onto
-    U(p_l, q) with the caller's p_l, and ``lp_lower_bound`` reads G
-    against the caller's measures.  A solver with its own stopping rule
-    yields once.  A solver that ``stops_on_bound`` yields every
-    iteration, and the first whose objective (the mean cost of the
-    rounded plans) is at most eps above the lower bound is returned; with
-    ``trace`` each iteration is a ``GAP_TRACE_COLUMNS`` row.
+    is a generator of candidates (couplings, G, phi, iteration, extras): m
+    (n, n) couplings, the (m, n) column potentials G = gamma v, the smooth
+    dual value phi, and solver diagnostics.  Every candidate's couplings
+    are rounded once onto U(p_l, q) with the caller's p_l, and
+    ``lp_lower_bound`` reads G against the caller's measures.  The first
+    candidate whose objective (the mean cost of the rounded plans) is at
+    most eps above the lower bound is returned.  If none is, the last one
+    is returned when ``solve`` ends on its own worst-case rule, which
+    already guarantees eps.  With ``trace`` every candidate is a
+    ``GAP_TRACE_COLUMNS`` row.
 
     The certificate is objective - lower bound, which bounds the
     objective's excess over the LP optimum; ``extras`` carries the bound
     as ``lp_lower_bound``.  The ``GAP_KEYS`` terms, whose primal value
-    takes an entropy pass, are computed at the returned iteration only,
-    or at every iteration of a traced run.
+    takes an entropy pass, are computed for the returned candidate only,
+    or for every candidate of a traced run.
 
     Returns:
         q (the target, or q_bar), the rounded plans, and the report.
@@ -370,8 +367,8 @@ def epsilon_pipeline(
             measure's size does not match it, or a transport measure has
             a negative entry or a mass not within 1e-9 of 1.
         ParameterError: if eps or gamma is not > 0.
-        ConvergenceError: if ``solve`` stops yielding before the bound
-            passes.
+        ConvergenceError: from ``solve``, when its budget runs out before
+            either rule stops it.
     """
     if not (eps > 0):
         raise ParameterError("eps must be positive")
@@ -415,7 +412,7 @@ def epsilon_pipeline(
             certificate=objective,
             params=record,
             trace=trace,
-            trace_columns=trace_columns,
+            trace_columns=GAP_TRACE_COLUMNS,
             extras={**dict.fromkeys(GAP_KEYS), "lp_lower_bound": 0.0},
         )
 
@@ -430,7 +427,6 @@ def epsilon_pipeline(
     smoothed = [smooth_measure(p, weight) for p in P]
     smoothed_target = None if target is None else smooth_measure(target, weight)
     smoothed_stack = np.stack([m.weights for m in smoothed])
-    iteration = 0
     for couplings, G, phi, iteration, extras in solve(
         C, gamma, eps_prime, smoothed, smoothed_target
     ):
@@ -442,37 +438,31 @@ def epsilon_pipeline(
         rounded = [round_to_polytope(plan, p, q) for plan, p in zip(couplings, P)]
         objective = float(np.mean([transport_cost(r.entries, C) for r in rounded]))
         lower = lp_lower_bound(C, G, P, target)
-        stop = not schedule.stops_on_bound or objective - lower <= eps
-        traced = schedule.stops_on_bound and trace is not None
-        if not (stop or traced):
-            continue
-        primal, gap, cost_gap = _gaps(couplings, rounded, C, gamma, phi)
-        if traced:
+        gaps = None
+        if trace is not None:
+            gaps = primal, gap, cost_gap = _gaps(couplings, rounded, C, gamma, phi)
             q_s = q if target is None else smoothed_target.weights
             trace.append(_gap_row(
                 iteration, phi, primal, gap, couplings, smoothed_stack, q_s, cost_gap, lower
             ))
-        if not stop:
-            continue
-        return q, rounded, SolveReport(
-            objective=objective,
-            iterations=iteration,
-            certificate=objective - lower,
-            params=record,
-            trace=trace,
-            trace_columns=trace_columns,
-            extras={
-                "dual_value": phi,
-                "primal_value": primal,
-                "duality_gap": gap,
-                "rounding_cost_gap": cost_gap,
-                "lp_lower_bound": lower,
-                **extras,
-            },
-        )
-    raise ConvergenceError(
-        f"{schedule.solver} did not stop within {iteration} iterations",
-        trace=trace if trace is not None else [],
+        if objective - lower <= eps:
+            break
+    primal, gap, cost_gap = gaps or _gaps(couplings, rounded, C, gamma, phi)
+    return q, rounded, SolveReport(
+        objective=objective,
+        iterations=iteration,
+        certificate=objective - lower,
+        params=record,
+        trace=trace,
+        trace_columns=GAP_TRACE_COLUMNS,
+        extras={
+            "dual_value": phi,
+            "primal_value": primal,
+            "duality_gap": gap,
+            "rounding_cost_gap": cost_gap,
+            "lp_lower_bound": lower,
+            **extras,
+        },
     )
 
 
@@ -481,16 +471,16 @@ def approx_ot_sinkhorn(
 ) -> tuple[TransportPlan, SolveReport]:
     """Epsilon-additive approximation of the transport optimum by Sinkhorn.
 
-    Runs ``epsilon_pipeline`` with ``SINKHORN_SCHEDULE``: Sinkhorn stops at
-    violation eps'/2 on the smoothed marginals, and phi is the stacked dual
-    at its final potentials.  ``trace`` collects ``sinkhorn_solve``'s rows.
+    Runs ``epsilon_pipeline`` with ``SINKHORN_SCHEDULE``: one
+    ``sinkhorn_solve`` call to violation eps'/2 on the smoothed marginals,
+    the worst-case rule, yields the only candidate, and phi is the stacked
+    dual at its final potentials.  ``trace`` gets that candidate's
+    ``GAP_TRACE_COLUMNS`` row; ``sinkhorn_solve`` traces every check.
     """
 
     def solve(C, gamma, eps_prime, smoothed, smoothed_target):
         ps, qs = smoothed[0].weights, smoothed_target.weights
-        state, plan = sinkhorn_solve(
-            C, gamma, ps, qs, eps_prime / 2.0, max_iter=max_iter, trace=trace
-        )
+        state, plan = sinkhorn_solve(C, gamma, ps, qs, eps_prime / 2.0, max_iter=max_iter)
         couplings = plan.entries[None]
         phi = dual_value(
             state.u[None], state.v[None], None, gamma, ps[None], qs[None],
@@ -500,7 +490,5 @@ def approx_ot_sinkhorn(
             "violation_at_exit": state.last_violation
         }
 
-    _, (plan,), report = epsilon_pipeline(
-        SINKHORN_SCHEDULE, C, p, q, eps, solve, trace=trace, trace_columns=TRACE_COLUMNS
-    )
+    _, (plan,), report = epsilon_pipeline(SINKHORN_SCHEDULE, C, p, q, eps, solve, trace=trace)
     return plan, report

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from otkit import sinkhorn
 from otkit.aam import accelerated_ot
-from otkit.barycenter import accelerated_ibp, barycenter_ibp
-from otkit.core import ConvergenceError, DiscreteMeasure, DomainError, ParameterError
+from otkit.barycenter import BarycenterProblem, accelerated_ibp, barycenter_ibp, ibp_solve
+from otkit.core import (
+    ConvergenceError, DiscreteMeasure, DomainError, ParameterError, smooth_measure,
+)
 from otkit.oracle import exact_barycenter_lp, exact_ot_lp
 from otkit.rounding import round_to_polytope
 from otkit.sinkhorn import GAP_KEYS, GAP_TRACE_COLUMNS, approx_ot_sinkhorn, lp_lower_bound
@@ -194,8 +196,9 @@ def test_rounds_each_coupling_once_per_yield(solver, monkeypatch):
     C, measures = instance(solver, 41, 8)
     m = 1 if solver in ("sinkhorn", "aam") else len(measures)
     _, _, report = run(solver, C, measures, 0.03 * C.inf_norm)
-    yields = report.iterations if solver in ("aam", "aibp") else 1
-    assert yields > 1 or solver in ("sinkhorn", "ibp")
+    # Sinkhorn yields once; IBP yields once per sweep of two half-steps.
+    yields = {"sinkhorn": 1, "ibp": report.iterations // 2}.get(solver, report.iterations)
+    assert yields > 1 or solver == "sinkhorn"
     assert len(calls) == m * yields
 
 
@@ -236,20 +239,31 @@ def test_invalid_cost_raises_domain_error(solver, C, match):
         run(solver, np.array(C), measures, 0.1)
 
 
-@pytest.mark.parametrize("solver", ["aam", "aibp"])
+@pytest.mark.parametrize("solver", ["aam", "aibp", "ibp"])
 def test_budget_exhausted_raises_with_trace(solver):
-    C, measures = instance(solver, 41, 8)
-    # AIBP passes its LP bound at iteration 1 at eps = 0.1 ||C||_inf.
-    eps = (0.1 if solver == "aam" else 0.03) * C.inf_norm
+    # The pipeline has no exit of its own: the solver's generator raises
+    # once its budget is spent, carrying the pipeline's rows.
+    if solver == "ibp":
+        # Neither sweep 1 nor sweep 2 passes the bound or the spread rule.
+        C, measures = random_measures(3, 4, 12)
+        eps = 0.025 * C.inf_norm
+    else:
+        C, measures = instance(solver, 41, 8)
+        # AIBP passes its LP bound at iteration 1 at eps = 0.1 ||C||_inf.
+        eps = (0.1 if solver == "aam" else 0.03) * C.inf_norm
     trace: list[dict] = []
-    with pytest.raises(ConvergenceError, match="within 2 iterations") as err:
+    match = "in 2 sweeps" if solver == "ibp" else "within 2 iterations"
+    with pytest.raises(ConvergenceError, match=match) as err:
         if solver == "aam":
             p, q = (np.asarray(m, float) for m in measures)
             accelerated_ot(C, p, q, eps, max_iter=2, trace=trace)
-        else:
+        elif solver == "aibp":
             accelerated_ibp(measures, C, eps, max_iter=2, trace=trace)
+        else:
+            barycenter_ibp(measures, C, eps, max_sweeps=2, trace=trace)
     assert err.value.trace is trace
-    assert [row["iteration"] for row in trace] == [1, 2]
+    expected = [2, 4] if solver == "ibp" else [1, 2]
+    assert [row["iteration"] for row in trace] == expected
     assert all(tuple(row) == GAP_TRACE_COLUMNS for row in trace)
 
 
@@ -306,9 +320,29 @@ def test_last_trace_row_is_the_reported_dual(solver):
     if solver == "sinkhorn":
         C, p, q = random_instance(3, 30)
         _, report = approx_ot_sinkhorn(C, p, q, 0.05 * C.inf_norm, trace=trace)
-        traced = trace[-1]["dual_objective"]
     else:
         C, measures = random_measures(5, 4, 12)
         _, _, report = barycenter_ibp(measures, C, 0.1 * C.inf_norm, trace=trace)
-        traced = trace[-1]["dual_value"]
-    assert traced == pytest.approx(report.extras["dual_value"], rel=1e-12, abs=0.0)
+    assert tuple(trace[-1]) == GAP_TRACE_COLUMNS
+    assert trace[-1]["iteration"] == report.iterations
+    assert trace[-1]["dual_value"] == report.extras["dual_value"]
+
+
+def ibp_spread_stop(report, measures, C) -> int:
+    """The half-step at which ``ibp_solve`` meets its spread rule on the
+    smoothed problem of a ``barycenter_ibp`` report, at its gamma and eps'."""
+    eps_prime = report.params["eps_prime"]
+    weight = eps_prime / sinkhorn.IBP_SCHEDULE.smooth_div
+    smoothed = tuple(smooth_measure(DiscreteMeasure(m).weights, weight) for m in measures)
+    problem = BarycenterProblem(smoothed, C, report.params["gamma"])
+    return ibp_solve(problem, eps_prime).state.iteration
+
+
+def test_ibp_never_stops_after_its_spread_rule():
+    cases = criterion_instances("ibp") + [
+        (C, ms, 0.025 * C.inf_norm) for C, ms in (random_measures(s, 4, 12) for s in (3, 4, 5))
+    ]
+    for C, measures, eps in cases:
+        _, _, report = barycenter_ibp(measures, C, eps)
+        assert report.iterations % 2 == 0
+        assert report.iterations <= ibp_spread_stop(report, measures, C)
